@@ -18,7 +18,7 @@ Client::Client(Cluster &owner, core::ProtocolNode &node, std::uint32_t id,
       clientId(id),
       tenant(tenant_idx),
       gen(owner.tenantSpec(tenant_idx).workload, owner.config().seed,
-          id + 1),
+          id + 1, owner.zipfFor(tenant_idx)),
       rng(owner.config().seed ^ 0xc11e47, id + 1)
 {
     hedgeTokens = owner.config().hedgeBurst;

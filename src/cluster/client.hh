@@ -78,6 +78,8 @@ class Client
     std::uint64_t opsIssued() const { return issued; }
     /** Tenant this client drives traffic for (open-loop accounting). */
     std::uint32_t tenantIdx() const { return tenant; }
+    /** The client's operation generator (its zipf table is shared). */
+    const workload::OpGenerator &generator() const { return gen; }
 
   private:
     bool openLoop() const;

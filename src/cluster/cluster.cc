@@ -139,6 +139,21 @@ Cluster::Cluster(const ClusterConfig &config)
         }
     }
     frontiers.resize(tenantTable.size());
+    // Zipfian constants cost keyCount pow() calls to compute: build one
+    // immutable set per distinct (keyCount, theta) across the tenants,
+    // shared by every client generator that samples from it.
+    for (const TenantSpec &t : tenantTable) {
+        workload::ZipfTable table;
+        for (const workload::ZipfTable &z : zipfTables) {
+            if (z->itemCount() == t.workload.keyCount &&
+                z->skew() == t.workload.zipfTheta) {
+                table = z;
+                break;
+            }
+        }
+        zipfTables.push_back(table ? table
+                                   : workload::makeZipfTable(t.workload));
+    }
     // Tenant rate-series bucket: the configured timeline bucket, or
     // 1/20th of the run when no timeline was asked for (offered-vs-
     // served plots need some shape either way).

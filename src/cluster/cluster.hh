@@ -236,6 +236,17 @@ class Cluster
     {
         return &frontiers[t];
     }
+    /** Zipfian constants every client of tenant @p t samples from. */
+    const workload::ZipfTable &zipfFor(std::uint32_t t) const
+    {
+        return zipfTables[t];
+    }
+    /** Client @p i (tests); ids follow tenant order. */
+    const Client &client(std::uint32_t i) const { return *clients[i]; }
+    std::uint32_t numClients() const
+    {
+        return static_cast<std::uint32_t>(clients.size());
+    }
     /** An open-loop arrival landed for tenant @p t at @p at. */
     void noteTenantOffered(std::uint32_t t, sim::Tick at);
     /** An arrival was dropped at a full client-side queue. */
@@ -412,6 +423,9 @@ class Cluster
     std::vector<std::uint32_t> tenantClients;
     /** One shared Latest frontier per tenant workload. */
     std::vector<workload::SharedFrontier> frontiers;
+    /** Per-tenant zipfian constants; tenants with equal (keyCount,
+     *  theta) share one set. */
+    std::vector<workload::ZipfTable> zipfTables;
     /**
      * Whole-run per-tenant traffic tallies (not window-diffed: every
      * offered arrival must land in exactly one outcome bin, so the

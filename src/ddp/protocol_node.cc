@@ -405,8 +405,10 @@ ProtocolNode::issuePersist(KeyId key, Version ver, std::uint64_t round_id,
                 on_durable();
         };
 
-    KeyReplica &kr = keyState(key);
-    if (!kr.persistBusy || !cfg.persistCoalescing) {
+    // No NVM write of this key in flight (always so when coalescing is
+    // ablated: startKeyPersist then never creates a record).
+    PersistFlight *pf = persistFlights.get(keyState(key).persistFlight);
+    if (!pf || !pf->busy) {
         std::vector<PersistObligation> obls;
         obls.push_back(std::move(obligation));
         startKeyPersist(key, ver, arrival_order, std::move(obls));
@@ -415,14 +417,14 @@ ProtocolNode::issuePersist(KeyId key, Version ver, std::uint64_t round_id,
 
     // Coalesce into the pending follow-up write for this line.
     ctr.add("persists_coalesced");
-    if (!kr.hasPendingPersist) {
-        kr.hasPendingPersist = true;
-        kr.pendingPersistVer = ver;
-    } else if (arrival_order || kr.pendingPersistVer < ver) {
-        kr.pendingPersistVer = ver;
+    if (!pf->hasPending) {
+        pf->hasPending = true;
+        pf->pendingVer = ver;
+    } else if (arrival_order || pf->pendingVer < ver) {
+        pf->pendingVer = ver;
     }
-    kr.pendingArrival = arrival_order;
-    kr.pendingObligations.push_back(std::move(obligation));
+    pf->pendingArrival = arrival_order;
+    pf->pendingObligations.push_back(std::move(obligation));
 }
 
 void
@@ -454,10 +456,15 @@ ProtocolNode::startKeyPersist(KeyId key, Version ver, bool arrival_order,
     }
 
     KeyReplica &kr = keyState(key);
-    kr.persistBusy = true;
-    kr.activePersistVer = ver;
-    kr.activeArrival = arrival_order;
-    kr.activeObligations = std::move(obligations);
+    PersistFlight *pf = persistFlights.get(kr.persistFlight);
+    if (!pf) {
+        kr.persistFlight = persistFlights.alloc();
+        pf = &persistFlights.at(kr.persistFlight);
+    }
+    pf->busy = true;
+    pf->activeVer = ver;
+    pf->activeArrival = arrival_order;
+    pf->activeObligations = std::move(obligations);
 
     if (cfg.valueLines == 1) {
         sim::Tick done_at = nvmDev.write(eq.now(), addrOf(key));
@@ -518,35 +525,42 @@ void
 ProtocolNode::onKeyPersistDone(KeyId key)
 {
     KeyReplica &kr = keyState(key);
+    PersistFlight &pf = persistFlights.at(kr.persistFlight);
     if (cfg.valueLines == 1) {
-        image.atomicPersist(key, kr.activePersistVer, kr.activeArrival);
+        image.atomicPersist(key, pf.activeVer, pf.activeArrival);
     } else {
-        image.commitWrite(key, kr.activeArrival);
+        image.commitWrite(key, pf.activeArrival);
     }
-    advancePersisted(kr.persistedVer, kr.activePersistVer,
-                     kr.activeArrival);
+    advancePersisted(kr.persistedVer, pf.activeVer, pf.activeArrival);
     wakeWaiters(key);
 
-    Version covered = kr.activePersistVer;
-    std::vector<PersistObligation> fired =
-        std::move(kr.activeObligations);
-    kr.activeObligations.clear();
-    kr.persistBusy = false;
+    // Woken requests may have coalesced more work into the record;
+    // slab cells never move, so pf stays valid.
+    Version covered = pf.activeVer;
+    std::vector<PersistObligation> fired = std::move(pf.activeObligations);
+    pf.activeObligations.clear();
+    pf.busy = false;
     for (auto &obl : fired)
         obl(covered);
 
-    // KeyReplica may have gained new pending work while obligations
-    // ran; start the coalesced follow-up write if so.
-    KeyReplica &kr2 = keyState(key);
-    if (!kr2.persistBusy && kr2.hasPendingPersist) {
-        Version next = kr2.pendingPersistVer;
-        bool arrival = kr2.pendingArrival;
-        std::vector<PersistObligation> obls =
-            std::move(kr2.pendingObligations);
-        kr2.pendingObligations.clear();
-        kr2.hasPendingPersist = false;
-        startKeyPersist(key, next, arrival, std::move(obls));
+    // The obligations may have started a new write (any pending work
+    // then waits for it); otherwise start the coalesced follow-up write
+    // if one is due, else retire the record.
+    PersistFlight *rec = persistFlights.get(kr.persistFlight);
+    if (!rec || rec->busy)
+        return;
+    if (!rec->hasPending) {
+        persistFlights.free(kr.persistFlight);
+        kr.persistFlight = sim::ChunkedSlab<PersistFlight>::kNull;
+        return;
     }
+    Version next = rec->pendingVer;
+    bool arrival = rec->pendingArrival;
+    std::vector<PersistObligation> obls =
+        std::move(rec->pendingObligations);
+    rec->pendingObligations.clear();
+    rec->hasPending = false;
+    startKeyPersist(key, next, arrival, std::move(obls));
 }
 
 // --------------------------------------------------------------------------
@@ -2369,18 +2383,17 @@ ProtocolNode::abortInFlight()
     durableApplied = VectorClock(cfg.numNodes);
     pendingDurable.assign(cfg.numNodes, {});
     // One slab clear() retires every parked request (all outstanding
-    // waiter handles go stale); the per-key list heads reset below.
+    // waiter handles go stale) and every coalescing record; the per-key
+    // handles reset below.
     waiterSlab.clear();
+    persistFlights.clear();
     for (auto &kr : keys) {
         kr.transient = false;
         kr.transientVer = Version{};
         kr.pendingOpId = 0;
         kr.waiterHead = sim::ChunkedSlab<Waiter>::kNull;
         kr.waiterTail = sim::ChunkedSlab<Waiter>::kNull;
-        kr.persistBusy = false;
-        kr.activeObligations.clear();
-        kr.hasPendingPersist = false;
-        kr.pendingObligations.clear();
+        kr.persistFlight = sim::ChunkedSlab<PersistFlight>::kNull;
     }
 
     // A survivor still backfilling when another node crashes: the

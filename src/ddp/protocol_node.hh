@@ -342,6 +342,8 @@ class ProtocolNode
     net::Version pendingInvalidation(net::KeyId key) const;
 
     std::uint32_t epoch() const { return currentEpoch; }
+    /** Keys with a coalesced NVM persist active or pending. */
+    std::size_t persistsInFlight() const { return persistFlights.liveCount(); }
 
     // --- Introspection ------------------------------------------------------
     void setSink(EventSink *s) { sink = s; }
@@ -454,6 +456,26 @@ class ProtocolNode
      *  completes; the argument is the covering version. */
     using PersistObligation = std::function<void(net::Version)>;
 
+    /**
+     * Write-pending-queue coalescing state of one key: at most one NVM
+     * write per key is in flight; persists requested meanwhile merge
+     * into a single follow-up write of the newest version, exactly as
+     * a memory controller combines stores to one line. A cell of
+     * persistFlights, live only while the key has a persist active or
+     * pending, so idle keys carry none of it.
+     */
+    struct PersistFlight
+    {
+        bool busy = false; ///< an NVM write of activeVer is in flight
+        net::Version activeVer;
+        bool activeArrival = false;
+        std::vector<PersistObligation> activeObligations;
+        bool hasPending = false; ///< a follow-up write is queued
+        net::Version pendingVer;
+        bool pendingArrival = false;
+        std::vector<PersistObligation> pendingObligations;
+    };
+
     struct KeyReplica
     {
         net::Version volatileVer;      ///< latest visible version
@@ -466,22 +488,13 @@ class ProtocolNode
         /** Intrusive waiter list (waiterSlab handles, 0 = empty). */
         std::uint64_t waiterHead = 0;
         std::uint64_t waiterTail = 0;
-
-        /**
-         * Write-pending-queue coalescing state: at most one NVM write
-         * per key is in flight; persists requested meanwhile merge
-         * into a single follow-up write of the newest version, exactly
-         * as a memory controller combines stores to one line.
-         */
-        bool persistBusy = false;
-        net::Version activePersistVer;
-        bool activeArrival = false;
-        std::vector<PersistObligation> activeObligations;
-        bool hasPendingPersist = false;
-        net::Version pendingPersistVer;
-        bool pendingArrival = false;
-        std::vector<PersistObligation> pendingObligations;
+        /** Coalescing record (persistFlights handle, 0 = none). */
+        std::uint64_t persistFlight = 0;
     };
+    // One KeyReplica per key per node: at 100k keys every byte here
+    // costs 100 KB per node, so in-flight state lives in slabs instead.
+    static_assert(sizeof(KeyReplica) <= 128,
+                  "per-key state must stay within two cache lines");
 
     // --- Coordinator rounds -------------------------------------------------
     struct Round
@@ -701,6 +714,8 @@ class ProtocolNode
      * goes stale) instead of walking per-key vectors.
      */
     sim::ChunkedSlab<Waiter> waiterSlab;
+    /** Coalescing records of the keys with a persist in flight. */
+    sim::ChunkedSlab<PersistFlight> persistFlights;
     /**
      * In-flight coordinator rounds. The round id handed out to
      * messages (Message::opId) IS the generation-tagged slab handle:

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <cassert>
 
 namespace ddp::mem {
@@ -23,8 +24,10 @@ SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes,
       waysPerSet(ways),
       lineBytes(line_bytes),
       ddioWays(ddio_ways),
-      lines(static_cast<std::size_t>(sets) * ways)
+      setWords(ways + (ways + 7) / 8),
+      dir(static_cast<std::size_t>(sets) * setWords)
 {
+    assert(ways > 0 && ways <= 255);
     assert(ddio_ways <= ways);
 }
 
@@ -42,30 +45,58 @@ SetAssocCache::setOf(std::uint64_t line) const
     return static_cast<std::uint32_t>((h >> 32) % sets);
 }
 
-SetAssocCache::Line *
-SetAssocCache::find(std::uint64_t addr)
+std::size_t
+SetAssocCache::setBase(std::uint64_t line) const
 {
-    std::uint64_t line = lineAddr(addr);
-    std::uint32_t set = setOf(line);
-    Line *base = &lines[static_cast<std::size_t>(set) * waysPerSet];
-    for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (base[w].valid && base[w].tag == line)
-            return &base[w];
-    }
-    return nullptr;
+    return static_cast<std::size_t>(setOf(line)) * setWords;
 }
 
-const SetAssocCache::Line *
-SetAssocCache::find(std::uint64_t addr) const
+int
+SetAssocCache::findWay(std::size_t base, std::uint64_t line) const
 {
-    return const_cast<SetAssocCache *>(this)->find(addr);
+    const std::uint64_t *t = &dir[base];
+    for (std::uint32_t w = 0; w < waysPerSet; ++w) {
+        if (t[w] == line + 1)
+            return static_cast<int>(w);
+    }
+    return -1;
+}
+
+void
+SetAssocCache::touch(std::size_t base, std::uint32_t way)
+{
+    // Locals only: stores through the byte pointer may alias members.
+    std::uint8_t *r = rankOf(base);
+    const std::uint32_t n = waysPerSet;
+    const std::uint8_t old = r[way];
+    if (old == n)
+        return; // already the most recent way of a full set
+    std::uint8_t top = 0;
+    if (old == 0) {
+        // First touch since the set was emptied: take the next rank.
+        for (std::uint32_t w = 0; w < n; ++w)
+            top = std::max(top, r[w]);
+        r[way] = static_cast<std::uint8_t>(top + 1);
+        return;
+    }
+    // Re-touch: every more recent way moves down one rank and this one
+    // takes the vacated top.
+    for (std::uint32_t w = 0; w < n; ++w) {
+        std::uint8_t v = r[w];
+        top = std::max(top, v);
+        r[w] = static_cast<std::uint8_t>(v - (v > old ? 1 : 0));
+    }
+    r[way] = top;
 }
 
 bool
 SetAssocCache::access(std::uint64_t addr)
 {
-    if (Line *l = find(addr)) {
-        l->lruStamp = ++stamp;
+    std::uint64_t line = lineAddr(addr);
+    std::size_t base = setBase(line);
+    int way = findWay(base, line);
+    if (way >= 0) {
+        touch(base, static_cast<std::uint32_t>(way));
         ++hitCount;
         return true;
     }
@@ -76,7 +107,8 @@ SetAssocCache::access(std::uint64_t addr)
 bool
 SetAssocCache::contains(std::uint64_t addr) const
 {
-    return find(addr) != nullptr;
+    std::uint64_t line = lineAddr(addr);
+    return findWay(setBase(line), line) >= 0;
 }
 
 void
@@ -84,31 +116,31 @@ SetAssocCache::installInRange(std::uint64_t addr, std::uint32_t way_begin,
                               std::uint32_t way_end)
 {
     std::uint64_t line = lineAddr(addr);
-    std::uint32_t set = setOf(line);
-    Line *base = &lines[static_cast<std::size_t>(set) * waysPerSet];
+    std::size_t base = setBase(line);
 
     // Already present anywhere in the set: refresh LRU.
-    for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (base[w].valid && base[w].tag == line) {
-            base[w].lruStamp = ++stamp;
-            return;
-        }
+    int present = findWay(base, line);
+    if (present >= 0) {
+        touch(base, static_cast<std::uint32_t>(present));
+        return;
     }
 
-    // Prefer an invalid way in the allowed range, else evict LRU.
-    Line *victim = nullptr;
+    // Prefer the first invalid way in the allowed range, else evict the
+    // least recently used one.
+    assert(way_begin < way_end);
+    std::uint64_t *t = &dir[base];
+    const std::uint8_t *r = rankOf(base);
+    std::uint32_t victim = way_begin;
     for (std::uint32_t w = way_begin; w < way_end; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
+        if (t[w] == 0) {
+            victim = w;
             break;
         }
-        if (!victim || base[w].lruStamp < victim->lruStamp)
-            victim = &base[w];
+        if (r[w] < r[victim])
+            victim = w;
     }
-    assert(victim);
-    victim->valid = true;
-    victim->tag = line;
-    victim->lruStamp = ++stamp;
+    t[victim] = line + 1;
+    touch(base, victim);
 }
 
 void
@@ -131,15 +163,17 @@ SetAssocCache::insertDdio(std::uint64_t addr)
 void
 SetAssocCache::invalidate(std::uint64_t addr)
 {
-    if (Line *l = find(addr))
-        l->valid = false;
+    std::uint64_t line = lineAddr(addr);
+    std::size_t base = setBase(line);
+    int way = findWay(base, line);
+    if (way >= 0)
+        dir[base + static_cast<std::uint32_t>(way)] = 0;
 }
 
 void
 SetAssocCache::clear()
 {
-    for (auto &l : lines)
-        l.valid = false;
+    std::fill(dir.begin(), dir.end(), 0);
 }
 
 CacheHierarchyParams

@@ -12,6 +12,7 @@
 #ifndef DDP_MEM_CACHE_HH
 #define DDP_MEM_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -22,13 +23,23 @@ namespace ddp::mem {
 /**
  * A set-associative cache directory with LRU replacement. Tracks
  * presence only (no data), which is all the timing model needs.
+ *
+ * The directory is one flat array of per-set blocks: an 8 B tag word
+ * per way holding line address + 1 (0 = invalid way), then a one-byte
+ * recency rank per way packed into trailing words (16 ways: 144 B per
+ * set, 9 B per line; one block keeps a lookup's tags and ranks
+ * together). The ranks of one set's touched ways are 1..k (k = most
+ * recent); never-touched ways rank 0, so an all-zero set is empty. A
+ * touched way keeps its rank when invalidated, which is harmless:
+ * victim selection prefers any invalid way and compares ranks of valid
+ * ways only, whose relative order is exactly their order of last use.
  */
 class SetAssocCache
 {
   public:
     /**
      * @param capacity_bytes total capacity
-     * @param ways associativity
+     * @param ways associativity (at most 255: ranks are one byte)
      * @param line_bytes line size
      * @param ddio_ways ways per set reserved for DDIO fills
      *        (0 = no partition; DDIO fills may use only these ways)
@@ -66,17 +77,19 @@ class SetAssocCache
     void clear();
 
   private:
-    struct Line
-    {
-        std::uint64_t tag = 0;
-        bool valid = false;
-        std::uint64_t lruStamp = 0;
-    };
-
     std::uint64_t lineAddr(std::uint64_t addr) const;
     std::uint32_t setOf(std::uint64_t line) const;
-    Line *find(std::uint64_t addr);
-    const Line *find(std::uint64_t addr) const;
+    /** First word of @p line's set in dir. */
+    std::size_t setBase(std::uint64_t line) const;
+    /** Rank bytes of the set starting at word @p base. */
+    std::uint8_t *rankOf(std::size_t base)
+    {
+        return reinterpret_cast<std::uint8_t *>(&dir[base + waysPerSet]);
+    }
+    /** Way index holding @p line in the set at @p base, or -1. */
+    int findWay(std::size_t base, std::uint64_t line) const;
+    /** Make way @p way the most recently used of the set at @p base. */
+    void touch(std::size_t base, std::uint32_t way);
     void installInRange(std::uint64_t addr, std::uint32_t way_begin,
                         std::uint32_t way_end);
 
@@ -84,8 +97,13 @@ class SetAssocCache
     std::uint32_t waysPerSet;
     std::uint32_t lineBytes;
     std::uint32_t ddioWays;
-    std::vector<Line> lines;
-    std::uint64_t stamp = 0;
+    /** Words per set: the tag words, then the rank bytes packed. */
+    std::uint32_t setWords;
+    /**
+     * Per set, setWords words: one tag word per way (line address + 1,
+     * 0 = invalid way), then one recency rank byte per way.
+     */
+    std::vector<std::uint64_t> dir;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
 };

@@ -1,5 +1,8 @@
 #include "workload/ycsb.hh"
 
+#include <cassert>
+#include <utility>
+
 namespace ddp::workload {
 
 WorkloadSpec
@@ -64,10 +67,25 @@ WorkloadSpec::ycsbE(std::uint64_t keys)
     return w;
 }
 
+ZipfTable
+makeZipfTable(const WorkloadSpec &spec)
+{
+    return std::make_shared<const sim::ZipfianGenerator>(spec.keyCount,
+                                                         spec.zipfTheta);
+}
+
 OpGenerator::OpGenerator(const WorkloadSpec &spec, std::uint64_t seed,
                          std::uint64_t stream)
-    : wl(spec), rng(seed, stream), zipf(spec.keyCount, spec.zipfTheta)
+    : OpGenerator(spec, seed, stream, makeZipfTable(spec))
 {
+}
+
+OpGenerator::OpGenerator(const WorkloadSpec &spec, std::uint64_t seed,
+                         std::uint64_t stream, ZipfTable table)
+    : wl(spec), rng(seed, stream), zipf(std::move(table))
+{
+    assert(zipf && zipf->itemCount() == spec.keyCount &&
+           zipf->skew() == spec.zipfTheta);
 }
 
 std::uint64_t &
@@ -90,7 +108,7 @@ OpGenerator::next()
     }
     switch (wl.distribution) {
       case KeyDistribution::Zipfian:
-        op.key = zipf.next(rng);
+        op.key = zipf->next(rng);
         break;
       case KeyDistribution::Uniform:
         op.key = rng.nextU64() % wl.keyCount;
@@ -103,7 +121,7 @@ OpGenerator::next()
             op.key = fr;
         } else {
             // Reads favour keys just behind the frontier.
-            std::uint64_t back = zipf.next(rng);
+            std::uint64_t back = zipf->next(rng);
             op.key = (frontierRef() + wl.keyCount -
                       back % wl.keyCount) %
                      wl.keyCount;

@@ -13,6 +13,7 @@
 #define DDP_WORKLOAD_YCSB_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
 #include "sim/random.hh"
@@ -114,6 +115,16 @@ struct SharedFrontier
 };
 
 /**
+ * Immutable zipfian constants of one (keyCount, theta) pair. Computing
+ * them costs keyCount pow() calls, so a cluster builds one set per
+ * tenant workload and every client generator of that tenant shares it.
+ */
+using ZipfTable = std::shared_ptr<const sim::ZipfianGenerator>;
+
+/** Compute the zipfian constants of @p spec's key space and skew. */
+ZipfTable makeZipfTable(const WorkloadSpec &spec);
+
+/**
  * Per-client operation generator. Each generator owns an independent
  * RNG stream so clients are statistically independent yet the whole
  * simulation stays deterministic.
@@ -121,8 +132,15 @@ struct SharedFrontier
 class OpGenerator
 {
   public:
+    /** Standalone generator: computes its own zipfian constants. */
     OpGenerator(const WorkloadSpec &spec, std::uint64_t seed,
                 std::uint64_t stream);
+    /**
+     * Generator over shared constants @p table, which must have been
+     * made from @p spec's keyCount and zipfTheta (makeZipfTable).
+     */
+    OpGenerator(const WorkloadSpec &spec, std::uint64_t seed,
+                std::uint64_t stream, ZipfTable table);
 
     /** Draw the next operation. */
     Op next();
@@ -144,13 +162,15 @@ class OpGenerator
     std::uint64_t currentKeyShift() const { return keyShift; }
 
     const WorkloadSpec &spec() const { return wl; }
+    /** The zipfian constants this generator samples from. */
+    const ZipfTable &zipfTable() const { return zipf; }
 
   private:
     std::uint64_t &frontierRef();
 
     WorkloadSpec wl;
     sim::Pcg32 rng;
-    sim::ZipfianGenerator zipf;
+    ZipfTable zipf;
     /** Insertion frontier for the Latest distribution (unbound case). */
     std::uint64_t frontier = 0;
     SharedFrontier *sharedFrontier = nullptr;

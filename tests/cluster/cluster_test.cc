@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cluster/client.hh"
 #include "cluster/cluster.hh"
 
 using namespace ddp;
@@ -503,4 +504,46 @@ TEST(Workloads, TraceReplayIsDeterministic)
     RunResult ra = a.run(), rb = b.run();
     EXPECT_EQ(ra.reads, rb.reads);
     EXPECT_EQ(ra.messages, rb.messages);
+}
+
+// --------------------------------------------------------------------------
+// Zipfian constants are computed once per distinct tenant workload.
+// --------------------------------------------------------------------------
+
+TEST(ZipfSharing, ClientsOfATenantShareOneTable)
+{
+    ClusterConfig cfg = smallConfig({Consistency::Causal,
+                                     Persistency::Synchronous});
+    TenantSpec hot;
+    hot.name = "hot";
+    hot.workload = workload::WorkloadSpec::ycsbA(2000);
+    hot.model = cfg.model;
+    TenantSpec flat = hot;
+    flat.name = "flat";
+    flat.workload = workload::WorkloadSpec::ycsbB(1000);
+    flat.workload.zipfTheta = 0.5;
+    TenantSpec twin = hot; // same (keyCount, theta) as "hot"
+    twin.name = "twin";
+    cfg.tenants = {hot, flat, twin};
+    Cluster cluster(cfg);
+
+    ASSERT_EQ(cluster.numTenants(), 3u);
+    const workload::ZipfTable &h = cluster.zipfFor(0);
+    const workload::ZipfTable &f = cluster.zipfFor(1);
+    EXPECT_NE(h, f);
+    EXPECT_EQ(h->itemCount(), 2000u);
+    EXPECT_EQ(f->itemCount(), 1000u);
+    EXPECT_EQ(f->skew(), 0.5);
+    // Equal parameters: one set of constants across tenants too.
+    EXPECT_EQ(cluster.zipfFor(2), h);
+
+    std::uint32_t seen[3] = {0, 0, 0};
+    for (std::uint32_t i = 0; i < cluster.numClients(); ++i) {
+        const Client &c = cluster.client(i);
+        ++seen[c.tenantIdx()];
+        EXPECT_EQ(c.generator().zipfTable(), cluster.zipfFor(c.tenantIdx()))
+            << "client " << i;
+    }
+    for (std::uint32_t t = 0; t < 3; ++t)
+        EXPECT_EQ(seen[t], cluster.tenantClientCount(t));
 }

@@ -723,6 +723,44 @@ TEST(Crash, InFlightTrafficIsDiscarded)
         EXPECT_EQ(n->visibleVersion(17), n->persistedVersion(17));
 }
 
+TEST(Crash, CoalescedPersistStateIsDroppedAndKeyPersistsAfterRestart)
+{
+    Harness h({Consistency::Causal, Persistency::Synchronous});
+    // A burst of writes to one key at one coordinator: the first starts
+    // an NVM persist, the next ones coalesce into a pending follow-up.
+    for (int i = 0; i < 6; ++i)
+        h.nodes[0]->clientWrite(21, {}, [](const OpResult &) {});
+    while (h.ctr.get("persists_coalesced") == 0 && h.eq.step()) {
+    }
+    ASSERT_GT(h.ctr.get("persists_coalesced"), 0u);
+    // Node 0 holds the key's record (active + pending persists); the
+    // followers have not been reached yet.
+    ASSERT_EQ(h.nodes[0]->persistsInFlight(), 1u);
+    EXPECT_EQ(h.nodes[1]->persistsInFlight(), 0u);
+    EXPECT_EQ(h.nodes[0]->persistedVersion(21).number, 0u);
+
+    for (auto &n : h.nodes)
+        n->crashVolatile();
+    // The crash retires every in-flight record; the lost persists'
+    // completions (old epoch) must not resurrect one.
+    for (auto &n : h.nodes)
+        EXPECT_EQ(n->persistsInFlight(), 0u);
+    h.drain();
+    for (auto &n : h.nodes) {
+        EXPECT_EQ(n->persistsInFlight(), 0u);
+        EXPECT_EQ(n->persistedVersion(21).number, 0u);
+    }
+
+    // After the restart the key persists normally again.
+    OpResult w = h.writeAndWait(0, 21);
+    h.drain();
+    for (auto &n : h.nodes) {
+        EXPECT_EQ(n->persistedVersion(21), w.version);
+        EXPECT_EQ(n->visibleVersion(21), w.version);
+        EXPECT_EQ(n->persistsInFlight(), 0u);
+    }
+}
+
 TEST(Crash, EpochIncrements)
 {
     Harness h({Consistency::Causal, Persistency::Synchronous});

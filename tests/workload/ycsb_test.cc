@@ -325,3 +325,41 @@ TEST(Trace, ScanRecordsRoundTrip)
     EXPECT_EQ(back[1].scanLen, 17u);
     EXPECT_TRUE(back == t);
 }
+
+// --- Shared zipfian constants -----------------------------------------------
+
+TEST(ZipfTable, SharedConstantsMatchStandaloneSampler)
+{
+    // Generators over one shared table must draw exactly the keys a
+    // standalone ZipfianGenerator(n, theta) draws from the same stream.
+    for (std::uint64_t n : {1ull, 2ull, 5000ull, 100000ull}) {
+        for (double theta : {0.0, 0.5, 0.99, 1.0}) {
+            SCOPED_TRACE(::testing::Message()
+                         << "n=" << n << " theta=" << theta);
+            WorkloadSpec spec = WorkloadSpec::ycsbA(n);
+            spec.zipfTheta = theta;
+            ZipfTable shared = makeZipfTable(spec);
+            OpGenerator a(spec, 31, 1, shared), b(spec, 31, 2, shared);
+            ASSERT_EQ(a.zipfTable(), b.zipfTable());
+
+            ddp::sim::ZipfianGenerator ref(n, theta);
+            ddp::sim::Pcg32 ra(31, 1), rb(31, 2);
+            for (int i = 0; i < 2000; ++i) {
+                // OpGenerator::next draws the op type, then the key.
+                ra.nextDouble();
+                rb.nextDouble();
+                ASSERT_EQ(a.next().key, ref.next(ra)) << "draw " << i;
+                ASSERT_EQ(b.next().key, ref.next(rb)) << "draw " << i;
+            }
+        }
+    }
+}
+
+TEST(ZipfTable, StandaloneGeneratorEqualsSharedOne)
+{
+    WorkloadSpec spec = WorkloadSpec::ycsbD(5000); // Latest: zipf reads
+    OpGenerator standalone(spec, 5, 3);
+    OpGenerator shared(spec, 5, 3, makeZipfTable(spec));
+    for (int i = 0; i < 5000; ++i)
+        ASSERT_EQ(standalone.next(), shared.next()) << "draw " << i;
+}
