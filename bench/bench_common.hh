@@ -421,11 +421,9 @@ jsonPerfFields(JsonArrayWriter &w, const core::DdpModel &m,
     w.field("hedges_sent", r.hedgesSent);
     w.field("hedges_won", r.hedgesWon);
     w.field("hedges_cancelled", r.hedgesCancelled);
-    // Event-loop hot path: which scheduler structure ran and how well
-    // doorbell-coalesced delivery batched. Deterministic (unlike the
-    // host-timing tail): drain counts are a pure function of the
-    // simulated message streams.
-    w.field("queue_impl", r.queueImpl);
+    // Event-loop hot path: how well doorbell-coalesced delivery
+    // batched. Deterministic (unlike the host-timing tail): drain
+    // counts are a pure function of the simulated message streams.
     w.field("doorbell_drains", r.doorbellDrains);
     w.field("batch_drain_messages", r.drainedMessages);
     w.field("batch_drain_msgs_mean", r.meanMessagesPerDrain());

@@ -9,6 +9,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "kv/store.hh"
 #include "mem/cache.hh"
 #include "mem/memory_device.hh"
@@ -32,6 +34,32 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1024);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+static void
+BM_EventQueueTimerChurn(benchmark::State &state)
+{
+    constexpr int kTimers = 4096;
+    std::uint64_t sink = 0;
+    std::vector<sim::TimerId> ids;
+    ids.reserve(kTimers);
+    for (auto _ : state) {
+        sim::EventQueue eq;
+        ids.clear();
+        for (int i = 0; i < kTimers; ++i)
+            ids.push_back(eq.scheduleTimer(
+                static_cast<sim::Tick>(1000 + i * 13 % 977),
+                [&sink] { ++sink; }));
+        // Cancel every other timer — the retransmit-timer pattern: most
+        // timers are cancelled by an ack before they fire.
+        for (int i = 0; i < kTimers; i += 2)
+            eq.cancelTimer(ids[static_cast<std::size_t>(i)]);
+        eq.run();
+        benchmark::DoNotOptimize(eq.executedEvents());
+    }
+    benchmark::DoNotOptimize(sink);
+    state.SetItemsProcessed(state.iterations() * kTimers);
+}
+BENCHMARK(BM_EventQueueTimerChurn);
 
 static void
 BM_Pcg32(benchmark::State &state)

@@ -10,7 +10,6 @@ namespace ddp::cluster {
 Cluster::Cluster(const ClusterConfig &config)
     : cfg(config),
       rmap(config.numServers, config.replicationFactor),
-      eq(config.queueImpl),
       hedgeEstimator(config.numServers)
 {
     assert(cfg.numServers >= 2 && "need at least one follower");
@@ -1269,7 +1268,6 @@ Cluster::run()
             static_cast<double>(phaseLat[p].p95()) / sim::kNanosecond;
     }
     res.eventsExecuted = eq.executedEvents();
-    res.queueImpl = sim::queueImplName(eq.impl());
     res.doorbellDrains = sumFabrics(
         [](const net::Fabric &f) { return f.doorbellDrains(); });
     res.drainedMessages = sumFabrics(

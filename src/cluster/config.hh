@@ -109,15 +109,6 @@ struct ClusterConfig
     net::NetworkParams network{};
 
     /**
-     * Scheduler structure of the cluster's EventQueue. Both structures
-     * execute events in the identical deterministic (when, seq) order,
-     * so this is purely a host-performance knob: the binary heap wins
-     * at low pending-event counts, the calendar queue at high
-     * occupancy (see DESIGN.md decision 15 for the crossover).
-     */
-    sim::QueueImpl queueImpl = sim::QueueImpl::BinaryHeap;
-
-    /**
      * Fault-injection plan (drops, duplicates, delays, reorders,
      * partitions, node outages). When any fault is configured the
      * cluster automatically enables the fabric's reliable-delivery

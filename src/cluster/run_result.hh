@@ -242,9 +242,6 @@ struct RunResult
     double offeredLoadOpsPerSec = 0.0;
 
     // --- Event-loop hot path (whole-run, deterministic) --------------------
-    /** Scheduler structure the run's EventQueue used ("binary_heap" /
-     *  "calendar"); purely a host-perf choice, results identical. */
-    std::string queueImpl = "binary_heap";
     /** Doorbell-coalesced ring drains the fabric fired (0 when batched
      *  delivery is off). */
     std::uint64_t doorbellDrains = 0;

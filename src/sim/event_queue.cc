@@ -6,160 +6,6 @@
 
 namespace ddp::sim {
 
-const char *
-queueImplName(QueueImpl impl)
-{
-    switch (impl) {
-      case QueueImpl::BinaryHeap: return "binary_heap";
-      case QueueImpl::CalendarQueue: return "calendar";
-    }
-    return "unknown";
-}
-
-EventQueue::EventQueue(QueueImpl impl) : _impl(impl)
-{
-    if (_impl == QueueImpl::CalendarQueue) {
-        calWidth = kInitialWidth;
-        calBuckets.resize(kMinBuckets);
-        calTop = calWidth;
-    }
-}
-
-// --------------------------------------------------------------------------
-// Calendar-queue backend
-// --------------------------------------------------------------------------
-
-std::size_t
-EventQueue::calBucketOf(Tick when) const
-{
-    return static_cast<std::size_t>((when / calWidth) %
-                                    calBuckets.size());
-}
-
-void
-EventQueue::calInsert(const HeapItem &item, bool may_resize)
-{
-    std::size_t idx = calBucketOf(item.when);
-    std::vector<HeapItem> &b = calBuckets[idx];
-    // Descending by (when, seq): the bucket minimum stays at back().
-    auto pos = std::lower_bound(
-        b.begin(), b.end(), item,
-        [](const HeapItem &x, const HeapItem &y) {
-            return keyBefore(y, x);
-        });
-    b.insert(pos, item);
-    ++calSize;
-    if (calCachedBucket != kNoBucket &&
-        keyBefore(item, calBuckets[calCachedBucket].back()))
-        calCachedBucket = idx;
-    if (may_resize && calSize > 2 * calBuckets.size())
-        calResize(calBuckets.size() * 2);
-}
-
-void
-EventQueue::calFindMin()
-{
-    assert(calSize > 0);
-    // Brown's dequeue scan: walk buckets from the service position, one
-    // simulated "day" (bucket width) per step. The first bucket whose
-    // minimum falls inside its current day holds the global minimum —
-    // any smaller key would share that day and therefore that bucket.
-    std::size_t n = calBuckets.size();
-    std::size_t i = calLast;
-    Tick top = calTop;
-    for (std::size_t steps = 0; steps < n; ++steps) {
-        const std::vector<HeapItem> &b = calBuckets[i];
-        if (!b.empty() && b.back().when < top) {
-            calCachedBucket = i;
-            return;
-        }
-        i = i + 1 < n ? i + 1 : 0;
-        top += calWidth;
-    }
-    // Nothing within a full year: direct search over the bucket minima
-    // (each bucket's minimum is its back(), so this is O(nbuckets)).
-    std::size_t best = kNoBucket;
-    for (std::size_t j = 0; j < n; ++j) {
-        if (calBuckets[j].empty())
-            continue;
-        if (best == kNoBucket ||
-            keyBefore(calBuckets[j].back(), calBuckets[best].back()))
-            best = j;
-    }
-    assert(best != kNoBucket);
-    calCachedBucket = best;
-}
-
-Tick
-EventQueue::calNewWidth(std::vector<HeapItem> &all) const
-{
-    if (all.size() < 2)
-        return calWidth;
-    // Brown's width estimate: average spacing of the soonest entries,
-    // times a small factor so a day holds a couple of events. Sampling
-    // only the head makes one far-future outlier (a recovery timer, a
-    // runUntil sentinel) unable to blow the width up. The factor was
-    // tuned on the hold-model sweep (bench_sim_hotpath
-    // --occupancy-sweep): 2x beats 4x at every occupancy — narrower
-    // days keep the sorted-bucket insert scans shorter, and the
-    // dequeue walk over the extra empty days is cheaper than those
-    // scans.
-    std::size_t sample = std::min<std::size_t>(all.size(), 32);
-    std::partial_sort(all.begin(),
-                      all.begin() + static_cast<std::ptrdiff_t>(sample),
-                      all.end(), keyBefore);
-    Tick span = all[sample - 1].when - all[0].when;
-    Tick avg = span / static_cast<Tick>(sample - 1);
-    Tick width = 2 * avg;
-    return width > 0 ? width : Tick(1);
-}
-
-void
-EventQueue::calAnchor()
-{
-    if (calSize == 0) {
-        calLast = calBucketOf(_now);
-        calTop = (_now / calWidth + 1) * calWidth;
-        calCachedBucket = kNoBucket;
-        return;
-    }
-    // Anchor on the stored minimum so the scan invariant — every stored
-    // key lies at or beyond the service day — holds by construction.
-    std::size_t best = kNoBucket;
-    for (std::size_t j = 0; j < calBuckets.size(); ++j) {
-        if (calBuckets[j].empty())
-            continue;
-        if (best == kNoBucket ||
-            keyBefore(calBuckets[j].back(), calBuckets[best].back()))
-            best = j;
-    }
-    assert(best != kNoBucket);
-    calLast = best;
-    calTop = (calBuckets[best].back().when / calWidth + 1) * calWidth;
-    calCachedBucket = best;
-}
-
-void
-EventQueue::calResize(std::size_t nbuckets)
-{
-    std::vector<HeapItem> all;
-    all.reserve(calSize);
-    for (std::vector<HeapItem> &b : calBuckets)
-        for (const HeapItem &it : b)
-            all.push_back(it);
-    calWidth = calNewWidth(all);
-    calBuckets.assign(nbuckets, {});
-    calSize = 0;
-    calCachedBucket = kNoBucket;
-    for (const HeapItem &it : all)
-        calInsert(it, /*may_resize=*/false);
-    calAnchor();
-}
-
-// --------------------------------------------------------------------------
-// Common scheduling paths
-// --------------------------------------------------------------------------
-
 void
 EventQueue::pushEvent(Tick when, std::uint64_t seq, TimerId timer,
                       EventFn fn)
@@ -174,51 +20,16 @@ EventQueue::pushEvent(Tick when, std::uint64_t seq, TimerId timer,
         slot = static_cast<std::uint32_t>(eventSlots.size());
         eventSlots.push_back(EventSlot{timer, std::move(fn)});
     }
-    HeapItem item{when, seq, slot};
-    if (_impl == QueueImpl::BinaryHeap) {
-        events.push_back(item);
-        std::push_heap(events.begin(), events.end(), entryAfter);
-    } else {
-        calInsert(item, /*may_resize=*/true);
-    }
-}
-
-const EventQueue::HeapItem *
-EventQueue::peekItem()
-{
-    if (_impl == QueueImpl::BinaryHeap)
-        return events.empty() ? nullptr : &events.front();
-    if (calSize == 0)
-        return nullptr;
-    if (calCachedBucket == kNoBucket)
-        calFindMin();
-    return &calBuckets[calCachedBucket].back();
+    events.push_back(HeapItem{when, seq, slot});
+    std::push_heap(events.begin(), events.end(), entryAfter);
 }
 
 EventQueue::HeapItem
 EventQueue::popItem()
 {
-    if (_impl == QueueImpl::BinaryHeap) {
-        std::pop_heap(events.begin(), events.end(), entryAfter);
-        HeapItem item = events.back();
-        events.pop_back();
-        return item;
-    }
-    if (calCachedBucket == kNoBucket)
-        calFindMin();
-    std::vector<HeapItem> &b = calBuckets[calCachedBucket];
-    HeapItem item = b.back();
-    b.pop_back();
-    --calSize;
-    // Commit the service position: the next scan starts at the day this
-    // key fired in. Inserts can never land before it (no scheduling in
-    // the past), so the scan never needs to move backwards.
-    calLast = calCachedBucket;
-    calTop = (item.when / calWidth + 1) * calWidth;
-    calCachedBucket = kNoBucket;
-    if (calBuckets.size() > kMinBuckets &&
-        calSize < calBuckets.size() / 2)
-        calResize(calBuckets.size() / 2);
+    std::pop_heap(events.begin(), events.end(), entryAfter);
+    HeapItem item = events.back();
+    events.pop_back();
     return item;
 }
 
@@ -319,7 +130,7 @@ bool
 EventQueue::step()
 {
     purgeCancelled();
-    if (storedEvents() == 0)
+    if (events.empty())
         return false;
 
     HeapItem item = popItem();
@@ -358,25 +169,6 @@ EventQueue::runUntil(Tick limit)
     runLimit = kTickNever;
     if (_now < limit)
         _now = limit;
-}
-
-void
-EventQueue::clear()
-{
-    events.clear();
-    eventSlots.clear();
-    freeEventSlots.clear();
-    timerSlots.clear();
-    freeTimerSlots.clear();
-    cancelledPending = 0;
-    if (_impl == QueueImpl::CalendarQueue) {
-        calBuckets.assign(kMinBuckets, {});
-        calSize = 0;
-        calWidth = kInitialWidth;
-        calCachedBucket = kNoBucket;
-        calLast = calBucketOf(_now);
-        calTop = (_now / calWidth + 1) * calWidth;
-    }
 }
 
 } // namespace ddp::sim

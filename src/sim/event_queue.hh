@@ -12,18 +12,10 @@
  *  - callbacks are InlineFn, so typical closures (this + a few scalars)
  *    live inside the event slab instead of costing a malloc per event;
  *  - the priority queue is indirect: callbacks are parked in a
- *    free-listed slab and the scheduler structure sifts only trivially
- *    copyable 24-byte (when, seq, slot) keys;
- *  - two interchangeable scheduler structures sit behind the same
- *    interface, chosen at construction time (QueueImpl):
- *      * an explicitly-owned binary heap (std::vector + std::push_heap/
- *        std::pop_heap) — O(log n), best at low occupancy;
- *      * a Brown calendar queue — O(1) amortized enqueue/dequeue, best
- *        once tens of thousands of events are pending (see DESIGN.md
- *        decision 15 for the measured crossover). Both structures order
- *        strictly by the unique (when, seq) key, so which one runs is
- *        unobservable to the simulation: identical seeds give identical
- *        results under either.
+ *    free-listed slab and an explicitly-owned binary heap
+ *    (std::vector + std::push_heap/std::pop_heap) sifts only trivially
+ *    copyable 24-byte (when, seq, slot) keys, ordered strictly by the
+ *    unique (when, seq) key;
  *  - cancellable timers use generation-tagged slots — cancel, fire and
  *    pending-checks are O(1) array lookups, with no per-event hash-set
  *    traffic.
@@ -59,18 +51,6 @@ using TimerId = std::uint64_t;
 /** The null TimerId. */
 constexpr TimerId kNoTimer = 0;
 
-/** Scheduler structure behind the EventQueue interface. */
-enum class QueueImpl : std::uint8_t
-{
-    /** Indirect binary heap (the PR 3 kernel). */
-    BinaryHeap,
-    /** Brown calendar queue: O(1) amortized at high occupancy. */
-    CalendarQueue,
-};
-
-/** Stable lowercase name, e.g. for JSON fields ("binary_heap"). */
-const char *queueImplName(QueueImpl impl);
-
 /**
  * A deterministic discrete-event queue.
  *
@@ -81,13 +61,10 @@ const char *queueImplName(QueueImpl impl);
 class EventQueue
 {
   public:
-    explicit EventQueue(QueueImpl impl = QueueImpl::BinaryHeap);
+    EventQueue() = default;
 
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    /** Scheduler structure selected at construction. */
-    QueueImpl impl() const { return _impl; }
 
     /** Current simulated time. */
     Tick now() const { return _now; }
@@ -95,7 +72,7 @@ class EventQueue
     /** Number of events waiting to fire (cancelled timers excluded). */
     std::size_t pendingEvents() const
     {
-        return storedEvents() - cancelledPending;
+        return events.size() - cancelledPending;
     }
 
     /** Total number of events executed so far. */
@@ -198,9 +175,6 @@ class EventQueue
      */
     void runUntil(Tick limit);
 
-    /** Drop every pending event (used to tear down experiments). */
-    void clear();
-
   private:
     /** Scheduler key: trivially copyable, so sifting never touches the
      *  callback slab. @c slot indexes eventSlots. */
@@ -262,31 +236,18 @@ class EventQueue
                    EventFn fn);
     /** Earliest pending entry, or nullptr when empty. Stable until the
      *  next push/pop. */
-    const HeapItem *peekItem();
-    HeapItem popItem();
-    std::size_t
-    storedEvents() const
+    const HeapItem *
+    peekItem() const
     {
-        return _impl == QueueImpl::BinaryHeap ? events.size() : calSize;
+        return events.empty() ? nullptr : &events.front();
     }
+    HeapItem popItem();
     /** Bump the slot's generation and recycle its index. */
     void retireTimer(TimerId id);
     /** Pop cancelled timer entries off the front of the queue. */
     void purgeCancelled();
 
-    // --- Calendar-queue backend (QueueImpl::CalendarQueue) -----------------
-    std::size_t calBucketOf(Tick when) const;
-    void calInsert(const HeapItem &item, bool may_resize);
-    /** Locate the minimum entry's bucket into calCachedBucket. */
-    void calFindMin();
-    void calResize(std::size_t nbuckets);
-    /** New bucket width from the spacing of the soonest entries. */
-    Tick calNewWidth(std::vector<HeapItem> &all) const;
-    /** Re-anchor the service position at or before every stored key. */
-    void calAnchor();
-
-    QueueImpl _impl;
-    std::vector<HeapItem> events; ///< BinaryHeap storage.
+    std::vector<HeapItem> events; ///< Min-heap on (when, seq).
     std::vector<EventSlot> eventSlots;
     std::vector<std::uint32_t> freeEventSlots;
     Tick _now = 0;
@@ -301,28 +262,6 @@ class EventQueue
     std::vector<TimerSlot> timerSlots;
     std::vector<std::uint32_t> freeTimerSlots;
     std::size_t cancelledPending = 0;
-
-    /**
-     * Calendar storage: bucket b holds keys with (when / calWidth) mod
-     * nbuckets == b, each bucket sorted *descending* by (when, seq) so
-     * the bucket minimum is back() and removal is pop_back(). The
-     * service position (calLast, calTop) advances day by day exactly as
-     * in Brown's algorithm, but only commits on pops; peeks cache the
-     * found minimum in calCachedBucket instead, so inserting an
-     * earlier event between a peek and its pop can never strand the
-     * scan past it.
-     */
-    std::vector<std::vector<HeapItem>> calBuckets;
-    std::size_t calSize = 0;
-    Tick calWidth = 0;
-    std::size_t calLast = 0;
-    Tick calTop = 0;
-    /** Bucket whose back() is the current minimum; SIZE_MAX = unknown. */
-    std::size_t calCachedBucket = kNoBucket;
-
-    static constexpr std::size_t kNoBucket = ~std::size_t(0);
-    static constexpr std::size_t kMinBuckets = 16;
-    static constexpr Tick kInitialWidth = 4 * kNanosecond;
 };
 
 } // namespace ddp::sim

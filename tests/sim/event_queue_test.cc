@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -112,16 +113,6 @@ TEST(EventQueue, RunUntilAdvancesTimeWhenIdle)
     EXPECT_EQ(eq.now(), 500u);
 }
 
-TEST(EventQueue, ClearDropsPending)
-{
-    EventQueue eq;
-    int fired = 0;
-    eq.schedule(10, [&] { ++fired; });
-    eq.clear();
-    eq.run();
-    EXPECT_EQ(fired, 0);
-}
-
 TEST(EventQueue, ExecutedEventsCounts)
 {
     EventQueue eq;
@@ -223,16 +214,6 @@ TEST(Timers, RunUntilIgnoresCancelledHead)
     EXPECT_EQ(fired, 1);
 }
 
-TEST(Timers, ClearResetsTimerState)
-{
-    EventQueue eq;
-    TimerId id = eq.scheduleTimer(100, [] {});
-    eq.clear();
-    EXPECT_FALSE(eq.timerPending(id));
-    EXPECT_FALSE(eq.cancelTimer(id));
-    EXPECT_EQ(eq.pendingEvents(), 0u);
-}
-
 TEST(Ticks, UnitConversions)
 {
     EXPECT_EQ(kNanosecond, 1000u);
@@ -314,107 +295,77 @@ TEST(Timers, CancelRescheduleStress)
     EXPECT_EQ(eq.pendingEvents(), 0u);
 }
 
-// --------------------------------------------------------------------------
-// Calendar-queue structure: same interface, same observable order.
-// --------------------------------------------------------------------------
-
-TEST(CalendarQueue, MatchesHeapOrderRandomized)
+TEST(EventQueue, RandomizedScheduleRunsInKeyOrder)
 {
-    // Drive both structures with an identical deterministic schedule —
-    // clustered deadlines, same-tick collisions, events scheduling
-    // events — and require the execution orders to match exactly.
-    auto trace = [](QueueImpl impl) {
-        EventQueue eq(impl);
-        std::vector<std::pair<Tick, int>> order;
-        std::uint64_t rng = 0xddf0;
-        for (int i = 0; i < 500; ++i) {
-            rng = splitmix64(rng);
-            Tick when = 1 + rng % 997;
-            eq.schedule(when, [&order, &eq, i] {
-                order.emplace_back(eq.now(), i);
-            });
-        }
-        // A second wave scheduled from inside events, landing relative
-        // to the running event's time (exercises mid-run inserts after
-        // the service position has advanced).
-        eq.schedule(500, [&eq, &order, &rng] {
-            for (int i = 1000; i < 1100; ++i) {
-                rng = splitmix64(rng);
-                eq.scheduleIn(1 + rng % 800, [&order, &eq, i] {
-                    order.emplace_back(eq.now(), i);
-                });
-            }
-        });
-        eq.run();
-        return order;
+    // A deterministic splitmix schedule — clustered deadlines, same-tick
+    // collisions, events scheduling events, cancellable timers — must
+    // execute strictly in (when, schedule index) order, run every live
+    // event exactly once, and never fire a cancelled timer. Schedule
+    // index order is scheduling order, i.e. the FIFO tie-break.
+    EventQueue eq;
+    std::vector<std::pair<Tick, int>> key; // (when, index) per index
+    std::vector<bool> cancelled;           // per schedule index
+    std::vector<int> order;                // executed schedule indices
+    auto record = [&](Tick when) {
+        int idx = static_cast<int>(key.size());
+        key.emplace_back(when, idx);
+        cancelled.push_back(false);
+        return [&order, idx] { order.push_back(idx); };
     };
-    auto heap = trace(QueueImpl::BinaryHeap);
-    auto cal = trace(QueueImpl::CalendarQueue);
-    ASSERT_EQ(heap.size(), cal.size());
-    EXPECT_EQ(heap, cal);
-}
-
-TEST(CalendarQueue, TimerChurnStress)
-{
-    // The same self-driving cancel/reschedule stress the heap runs,
-    // on the calendar structure: cancelled timers must never fire and
-    // slot generations must stay coherent across bucket resizes.
-    EventQueue eq(QueueImpl::CalendarQueue);
-    TimerChurn churn(eq);
-    eq.scheduleIn(0, [&churn] { churn.step(); });
-    eq.run();
-    EXPECT_EQ(churn.scheduled, 2u * TimerChurn::kRounds);
-    EXPECT_EQ(churn.fired + churn.cancelledOk, churn.scheduled);
-    EXPECT_GT(churn.cancelledOk, 0u);
-    EXPECT_EQ(eq.pendingEvents(), 0u);
-}
-
-TEST(CalendarQueue, GrowShrinkKeepsOrder)
-{
-    // Fill far past the initial 16 buckets (several grow resizes),
-    // then drain to empty (shrink resizes); order must stay
-    // non-decreasing and nothing may be lost.
-    EventQueue eq(QueueImpl::CalendarQueue);
-    std::uint64_t rng = 7;
-    int fired = 0;
-    Tick last = 0;
-    for (int i = 0; i < 5000; ++i) {
+    std::uint64_t rng = 0xddf0;
+    for (int i = 0; i < 500; ++i) {
         rng = splitmix64(rng);
-        eq.schedule(1 + rng % 100000, [&] {
-            EXPECT_GE(eq.now(), last);
-            last = eq.now();
-            ++fired;
-        });
+        Tick when = 1 + rng % 997;
+        eq.schedule(when, record(when));
     }
+    // Timers in the same window: the even ones are cancelled up front,
+    // the odd ones from inside the second-wave event below (those that
+    // already fired by then report false and stay live).
+    std::vector<std::pair<TimerId, std::size_t>> timers;
+    for (int i = 0; i < 20; ++i) {
+        rng = splitmix64(rng);
+        Tick when = 1 + rng % 997;
+        std::size_t idx = key.size();
+        TimerId t = eq.scheduleTimer(when, record(when));
+        if (i % 2 == 0) {
+            EXPECT_TRUE(eq.cancelTimer(t));
+            cancelled[idx] = true;
+        } else {
+            timers.emplace_back(t, idx);
+        }
+    }
+    // A second wave scheduled from inside an event, landing relative
+    // to the running event's time (mid-run inserts behind events that
+    // already fired).
+    auto waveFired = record(500);
+    eq.schedule(500, [&, waveFired] {
+        waveFired();
+        for (auto [t, idx] : timers)
+            if (eq.cancelTimer(t))
+                cancelled[idx] = true;
+        for (int i = 0; i < 100; ++i) {
+            rng = splitmix64(rng);
+            Tick delay = 1 + rng % 800;
+            eq.scheduleIn(delay, record(eq.now() + delay));
+        }
+    });
     eq.run();
-    EXPECT_EQ(fired, 5000);
-    EXPECT_EQ(eq.pendingEvents(), 0u);
-}
 
-TEST(CalendarQueue, ClearResetsAndStaysUsable)
-{
-    EventQueue eq(QueueImpl::CalendarQueue);
-    for (int i = 0; i < 100; ++i)
-        eq.schedule(10 + i, [] { FAIL() << "cleared event fired"; });
-    eq.clear();
+    std::size_t live = 0;
+    for (bool c : cancelled)
+        live += c ? 0 : 1;
+    ASSERT_EQ(order.size(), live); // complete, and nothing ran twice
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        auto idx = static_cast<std::size_t>(order[i]);
+        EXPECT_FALSE(cancelled[idx]) << "cancelled timer " << idx
+                                     << " fired";
+        if (i > 0) {
+            EXPECT_LT(key[static_cast<std::size_t>(order[i - 1])],
+                      key[idx])
+                << "out of key order at position " << i;
+        }
+    }
     EXPECT_EQ(eq.pendingEvents(), 0u);
-    int fired = 0;
-    eq.schedule(5, [&] { ++fired; });
-    eq.run();
-    EXPECT_EQ(fired, 1);
-}
-
-TEST(CalendarQueue, RunUntilStopsAtLimit)
-{
-    EventQueue eq(QueueImpl::CalendarQueue);
-    std::vector<Tick> seen;
-    for (Tick t : {10u, 20u, 30u, 40u})
-        eq.schedule(t, [&] { seen.push_back(eq.now()); });
-    eq.runUntil(25);
-    EXPECT_EQ(seen, (std::vector<Tick>{10, 20}));
-    EXPECT_EQ(eq.now(), 25u);
-    eq.run();
-    EXPECT_EQ(seen, (std::vector<Tick>{10, 20, 30, 40}));
 }
 
 // --------------------------------------------------------------------------
@@ -505,19 +456,4 @@ TEST(ConsumeIfNext, CancelledHeadTimerDoesNotBlock)
     });
     eq.run();
     EXPECT_TRUE(accepted);
-}
-
-TEST(ConsumeIfNext, WorksOnCalendarQueue)
-{
-    EventQueue eq(QueueImpl::CalendarQueue);
-    int laterFired = 0;
-    eq.schedule(15, [&] { ++laterFired; });
-    std::uint64_t s = eq.allocSeq();
-    eq.schedule(10, [&] {
-        EXPECT_FALSE(eq.consumeIfNext(15, s));
-        EXPECT_TRUE(eq.consumeIfNext(14, s));
-        EXPECT_EQ(eq.now(), 14u);
-    });
-    eq.run();
-    EXPECT_EQ(laterFired, 1);
 }

@@ -69,8 +69,6 @@ struct Options
     unsigned jobs = 1;
 
     // Event-loop hot path (perf A/B; simulated results are identical).
-    /** Scheduler structure: heap | calendar. */
-    std::string queueImpl = "heap";
     /** Doorbell-coalesced wire delivery (off = one event/message). */
     bool batchedDelivery = true;
 
@@ -346,10 +344,6 @@ usage(std::ostream &os)
           "                      checker and exits non-zero on any\n"
           "                      violation\n\n"
           "hot path (simulated results are bit-identical either way):\n"
-          "  --queue-impl Q      heap | calendar — event-queue\n"
-          "                      scheduler structure (default heap;\n"
-          "                      calendar wins at high occupancy, see\n"
-          "                      EXPERIMENTS.md hot-path A/B)\n"
           "  --no-batched-delivery  schedule one event per message\n"
           "                      instead of doorbell-coalesced ring\n"
           "                      drains (perf A/B + equivalence\n"
@@ -887,14 +881,6 @@ parseArgs(int argc, char **argv, Options &opt)
             opt.offeredLo = lo;
             opt.offeredHi = hi;
             opt.offeredSteps = steps;
-        } else if (flag == "--queue-impl") {
-            if (val != "heap" && val != "calendar") {
-                std::cerr << "unknown queue impl '" << val
-                          << "' for --queue-impl (want heap | "
-                             "calendar)\n";
-                return false;
-            }
-            opt.queueImpl = val;
         } else {
             std::cerr << "unknown flag '" << flag << "' (see --help)\n";
             return false;
@@ -1132,9 +1118,6 @@ makeConfig(const Options &opt, core::DdpModel model)
     cfg.network.roundTrip = opt.rttNs * sim::kNanosecond;
     cfg.network.bandwidthBps = opt.bandwidthGbps * 1000ull * 1000 * 1000;
     cfg.network.batchedDelivery = opt.batchedDelivery;
-    cfg.queueImpl = opt.queueImpl == "calendar"
-                        ? sim::QueueImpl::CalendarQueue
-                        : sim::QueueImpl::BinaryHeap;
     cfg.warmup = opt.warmupUs * sim::kMicrosecond;
     cfg.measure = opt.measureUs * sim::kMicrosecond;
     cfg.seed = opt.seed;

@@ -3,26 +3,22 @@
 #
 #   MODE=batching   default doorbell-coalesced wire delivery
 #                   vs --no-batched-delivery (one event per message)
-#   MODE=queue_impl default binary-heap scheduler
-#                   vs --queue-impl calendar
 #
 # Usage:
-#   cmake -DDDPSIM=<path> -DMODE=<batching|queue_impl>
-#         -P delivery_equivalence.cmake
+#   cmake -DDDPSIM=<path> -DMODE=batching -P delivery_equivalence.cmake
 #
-# Both axes are pure mechanism swaps: ring-drain batching preserves
+# This is a pure mechanism swap: ring-drain batching preserves
 # per-message (when, seq) delivery keys and per-message charging
-# (DESIGN.md, "Doorbell-coalesced delivery"), and both EventQueue
-# structures pop in identical (when, seq) order. The sweep runs every
+# (DESIGN.md, "Doorbell-coalesced delivery"). The sweep runs every
 # model over a lossy fabric — drops, reordering, duplicates, and the
 # retransmit traffic they provoke — because loss handling is where the
 # ring (fault injection per message, retransmit re-entry) is most
 # likely to diverge from the unbatched path. CSV carries no
-# host-timing or scheduler-internal fields, so the comparison is exact.
+# host-timing fields, so the comparison is exact.
 
 if(NOT DEFINED DDPSIM OR NOT DEFINED MODE)
     message(FATAL_ERROR
-        "need -DDDPSIM=<path> and -DMODE=<batching|queue_impl>")
+        "need -DDDPSIM=<path> and -DMODE=batching")
 endif()
 
 set(common_args
@@ -35,10 +31,6 @@ if(MODE STREQUAL "batching")
     set(variant_a_args ${common_args})
     set(variant_b_args --no-batched-delivery ${common_args})
     set(what "--no-batched-delivery")
-elseif(MODE STREQUAL "queue_impl")
-    set(variant_a_args ${common_args})
-    set(variant_b_args --queue-impl calendar ${common_args})
-    set(what "--queue-impl calendar")
 else()
     message(FATAL_ERROR "unknown MODE '${MODE}'")
 endif()

@@ -2,25 +2,22 @@
 """Schema-validate ddp-bench-v1 JSON records (CI gating).
 
 Timing numbers from shared runners are noise; field *presence and
-types* are not — a record missing queue_impl or carrying a string
-where a count belongs means the emitter regressed. CI runs this as a
+types* are not — a record missing doorbell_drains or carrying a
+string where a count belongs means the emitter regressed. CI runs this as a
 gating step while the timing-threshold checks stay non-gating.
 
 Usage: validate_bench_json.py FILE.json [FILE.json ...]
 
 Every file must hold a JSON array of records with schema
 "ddp-bench-v1". Records describing cluster runs (they carry "model")
-must include the scheduler/wire-batching counters; records from the
-bench_sim_hotpath occupancy sweep must include occupancy and
-queue_impl. google-benchmark's own output files (they carry
-"benchmarks") are only checked for well-formedness.
+must include the wire-batching counters; there is no per-record
+scheduler field, since the event queue has a single structure.
+google-benchmark's own output files (they carry "benchmarks") are
+only checked for well-formedness.
 """
 
 import json
 import sys
-
-QUEUE_IMPLS = {"binary_heap", "calendar"}
-
 
 def fail(path, rec_no, msg):
     sys.exit(f"{path}: record {rec_no}: {msg}")
@@ -37,10 +34,7 @@ def require(path, i, rec, field, types):
 
 
 def check_counters(path, i, rec):
-    """The fields this PR added to every cluster-run record."""
-    impl = require(path, i, rec, "queue_impl", (str,))
-    if impl not in QUEUE_IMPLS:
-        fail(path, i, f"queue_impl '{impl}' not in {sorted(QUEUE_IMPLS)}")
+    """The wire-batching counters every cluster-run record carries."""
     drains = require(path, i, rec, "doorbell_drains", (int,))
     msgs = require(path, i, rec, "batch_drain_messages", (int,))
     if drains < 0 or msgs < 0:
@@ -193,13 +187,6 @@ def check_file(path):
             visited = require(path, i, rec, "scan_keys_visited", (int,))
             if scans < 0 or visited < 0:
                 fail(path, i, "negative scan counters")
-        elif rec.get("bench") == "sim_hotpath_occupancy":
-            require(path, i, rec, "occupancy", (int,))
-            require(path, i, rec, "events_executed", (int,))
-            impl = require(path, i, rec, "queue_impl", (str,))
-            if impl not in QUEUE_IMPLS:
-                fail(path, i,
-                     f"queue_impl '{impl}' not in {sorted(QUEUE_IMPLS)}")
     return f"{len(data)} ddp-bench-v1 records"
 
 
