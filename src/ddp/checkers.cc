@@ -10,13 +10,13 @@ PropertyChecker::onRead(net::NodeId node, net::KeyId key,
     (void)completed_at;
     ++reads;
 
-    auto [it, fresh] = lastReads.try_emplace({node, key},
-                                             LastRead{version});
-    if (!fresh) {
-        if (version < it->second.version)
-            ++monotonicViol;
-        else
-            it->second.version = version;
+    ReadPage &page = readPage(node, key);
+    const std::size_t i = key & (kReadPageKeys - 1);
+    if (version < net::Version{page.number[i], page.writer[i]}) {
+        ++monotonicViol;
+    } else {
+        page.number[i] = version.number;
+        page.writer[i] = version.writer;
     }
 
     auto cw = completed.find(key);
@@ -32,6 +32,20 @@ PropertyChecker::onRead(net::NodeId node, net::KeyId key,
         tornValues.count(std::make_pair(key, version))) {
         ++tornServedCount;
     }
+}
+
+PropertyChecker::ReadPage &
+PropertyChecker::readPage(net::NodeId node, net::KeyId key)
+{
+    if (node >= lastReads.size())
+        lastReads.resize(node + std::size_t{1});
+    std::vector<std::unique_ptr<ReadPage>> &pages = lastReads[node];
+    const std::size_t p = static_cast<std::size_t>(key >> kReadPageShift);
+    if (p >= pages.size())
+        pages.resize(p + 1);
+    if (!pages[p])
+        pages[p] = std::make_unique<ReadPage>();
+    return *pages[p];
 }
 
 void

@@ -23,9 +23,10 @@
 #ifndef DDP_CORE_CHECKERS_HH
 #define DDP_CORE_CHECKERS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -126,9 +127,19 @@ class PropertyChecker : public EventSink
     void clear();
 
   private:
-    struct LastRead
+    static constexpr unsigned kReadPageShift = 10;
+    static constexpr std::size_t kReadPageKeys = std::size_t{1}
+                                                 << kReadPageShift;
+    /**
+     * The last version returned at one replica for kReadPageKeys
+     * consecutive keys, split into two arrays to skip Version's
+     * padding. A key never read holds Version{}, which sorts below
+     * every real version.
+     */
+    struct ReadPage
     {
-        net::Version version;
+        std::uint64_t number[kReadPageKeys] = {};
+        net::NodeId writer[kReadPageKeys] = {};
     };
     struct CompletedWrite
     {
@@ -136,8 +147,16 @@ class PropertyChecker : public EventSink
         sim::Tick completedAt;
     };
 
-    /** (node, key) -> last version returned at that replica. */
-    std::map<std::pair<net::NodeId, net::KeyId>, LastRead> lastReads;
+    /** The page holding @p key's last read at @p node (made if absent). */
+    ReadPage &readPage(net::NodeId node, net::KeyId key);
+
+    /**
+     * node -> key page -> last versions returned at that replica. Key
+     * ids are dense below the cluster's keyCount (each protocol node
+     * keeps a per-key array too), so a read is two indexed loads; a
+     * page is allocated when one of its keys is first read.
+     */
+    std::vector<std::vector<std::unique_ptr<ReadPage>>> lastReads;
     /** key -> highest completed write and its completion time. */
     std::unordered_map<net::KeyId, CompletedWrite> completed;
     /**

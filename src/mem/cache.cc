@@ -25,10 +25,11 @@ SetAssocCache::SetAssocCache(std::uint64_t capacity_bytes,
       lineBytes(line_bytes),
       ddioWays(ddio_ways),
       setWords(ways + (ways + 7) / 8),
-      dir(static_cast<std::size_t>(sets) * setWords)
+      slot(sets, 0)
 {
     assert(ways > 0 && ways <= 255);
     assert(ddio_ways <= ways);
+    newBlock(); // the shared zero block
 }
 
 std::uint64_t
@@ -45,28 +46,31 @@ SetAssocCache::setOf(std::uint64_t line) const
     return static_cast<std::uint32_t>((h >> 32) % sets);
 }
 
-std::size_t
-SetAssocCache::setBase(std::uint64_t line) const
+std::uint32_t
+SetAssocCache::newBlock()
 {
-    return static_cast<std::size_t>(setOf(line)) * setWords;
+    if ((blockCount & (kPageBlocks - 1)) == 0) {
+        pages.push_back(std::make_unique<std::uint64_t[]>(
+            static_cast<std::size_t>(kPageBlocks) * setWords));
+    }
+    return blockCount++;
 }
 
 int
-SetAssocCache::findWay(std::size_t base, std::uint64_t line) const
+SetAssocCache::findWay(const std::uint64_t *b, std::uint64_t line) const
 {
-    const std::uint64_t *t = &dir[base];
     for (std::uint32_t w = 0; w < waysPerSet; ++w) {
-        if (t[w] == line + 1)
+        if (b[w] == line + 1)
             return static_cast<int>(w);
     }
     return -1;
 }
 
 void
-SetAssocCache::touch(std::size_t base, std::uint32_t way)
+SetAssocCache::touch(std::uint64_t *b, std::uint32_t way)
 {
     // Locals only: stores through the byte pointer may alias members.
-    std::uint8_t *r = rankOf(base);
+    std::uint8_t *r = rankOf(b);
     const std::uint32_t n = waysPerSet;
     const std::uint8_t old = r[way];
     if (old == n)
@@ -92,11 +96,12 @@ SetAssocCache::touch(std::size_t base, std::uint32_t way)
 bool
 SetAssocCache::access(std::uint64_t addr)
 {
+    // A hit implies a filled set, so touch() never writes the zero block.
     std::uint64_t line = lineAddr(addr);
-    std::size_t base = setBase(line);
-    int way = findWay(base, line);
+    std::uint64_t *b = blockOf(line);
+    int way = findWay(b, line);
     if (way >= 0) {
-        touch(base, static_cast<std::uint32_t>(way));
+        touch(b, static_cast<std::uint32_t>(way));
         ++hitCount;
         return true;
     }
@@ -108,7 +113,7 @@ bool
 SetAssocCache::contains(std::uint64_t addr) const
 {
     std::uint64_t line = lineAddr(addr);
-    return findWay(setBase(line), line) >= 0;
+    return findWay(blockOf(line), line) >= 0;
 }
 
 void
@@ -116,20 +121,22 @@ SetAssocCache::installInRange(std::uint64_t addr, std::uint32_t way_begin,
                               std::uint32_t way_end)
 {
     std::uint64_t line = lineAddr(addr);
-    std::size_t base = setBase(line);
+    std::uint32_t &s = slot[setOf(line)];
+    if (s == 0)
+        s = newBlock();
+    std::uint64_t *t = blockAt(s);
 
     // Already present anywhere in the set: refresh LRU.
-    int present = findWay(base, line);
+    int present = findWay(t, line);
     if (present >= 0) {
-        touch(base, static_cast<std::uint32_t>(present));
+        touch(t, static_cast<std::uint32_t>(present));
         return;
     }
 
     // Prefer the first invalid way in the allowed range, else evict the
     // least recently used one.
     assert(way_begin < way_end);
-    std::uint64_t *t = &dir[base];
-    const std::uint8_t *r = rankOf(base);
+    const std::uint8_t *r = rankOf(t);
     std::uint32_t victim = way_begin;
     for (std::uint32_t w = way_begin; w < way_end; ++w) {
         if (t[w] == 0) {
@@ -140,7 +147,7 @@ SetAssocCache::installInRange(std::uint64_t addr, std::uint32_t way_begin,
             victim = w;
     }
     t[victim] = line + 1;
-    touch(base, victim);
+    touch(t, victim);
 }
 
 void
@@ -163,17 +170,21 @@ SetAssocCache::insertDdio(std::uint64_t addr)
 void
 SetAssocCache::invalidate(std::uint64_t addr)
 {
+    // Only a filled set can match, so the zero block is never written.
     std::uint64_t line = lineAddr(addr);
-    std::size_t base = setBase(line);
-    int way = findWay(base, line);
+    std::uint64_t *b = blockOf(line);
+    int way = findWay(b, line);
     if (way >= 0)
-        dir[base + static_cast<std::uint32_t>(way)] = 0;
+        b[way] = 0;
 }
 
 void
 SetAssocCache::clear()
 {
-    std::fill(dir.begin(), dir.end(), 0);
+    std::fill(slot.begin(), slot.end(), 0);
+    pages.clear();
+    blockCount = 0;
+    newBlock();
 }
 
 CacheHierarchyParams

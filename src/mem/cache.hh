@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/ticks.hh"
@@ -24,15 +25,24 @@ namespace ddp::mem {
  * A set-associative cache directory with LRU replacement. Tracks
  * presence only (no data), which is all the timing model needs.
  *
- * The directory is one flat array of per-set blocks: an 8 B tag word
- * per way holding line address + 1 (0 = invalid way), then a one-byte
- * recency rank per way packed into trailing words (16 ways: 144 B per
- * set, 9 B per line; one block keeps a lookup's tags and ranks
- * together). The ranks of one set's touched ways are 1..k (k = most
- * recent); never-touched ways rank 0, so an all-zero set is empty. A
- * touched way keeps its rank when invalidated, which is harmless:
- * victim selection prefers any invalid way and compares ranks of valid
- * ways only, whose relative order is exactly their order of last use.
+ * Each set is a block of words: an 8 B tag word per way holding line
+ * address + 1 (0 = invalid way), then a one-byte recency rank per way
+ * packed into trailing words (16 ways: 144 B per set, 9 B per line; one
+ * block keeps a lookup's tags and ranks together). The ranks of one
+ * set's touched ways are 1..k (k = most recent); never-touched ways
+ * rank 0, so an all-zero block is an empty set. A touched way keeps its
+ * rank when invalidated, which is harmless: victim selection prefers
+ * any invalid way and compares ranks of valid ways only, whose relative
+ * order is exactly their order of last use.
+ *
+ * The directory is sparse per set: a 4 B slot per set names its block,
+ * and blocks exist only for sets that have been filled. Slot 0 is one
+ * shared all-zero block, which reads as an empty set, so lookups,
+ * probes and invalidations of a never-filled set need no branch and
+ * store nothing; only a fill gives a set its own block. Blocks are
+ * appended in fill order to fixed-size pages that never move, and
+ * clear() releases them all. A node's 40 MB LLC thus costs memory in
+ * proportion to the lines a run touches, not to its capacity.
  */
 class SetAssocCache
 {
@@ -72,6 +82,8 @@ class SetAssocCache
     std::uint64_t misses() const { return missCount; }
     std::uint32_t numSets() const { return sets; }
     std::uint32_t numWays() const { return waysPerSet; }
+    /** Sets holding a block of their own (filled since the last clear). */
+    std::uint32_t materializedSets() const { return blockCount - 1; }
 
     /** Drop all lines (crash of volatile state). */
     void clear();
@@ -79,31 +91,51 @@ class SetAssocCache
   private:
     std::uint64_t lineAddr(std::uint64_t addr) const;
     std::uint32_t setOf(std::uint64_t line) const;
-    /** First word of @p line's set in dir. */
-    std::size_t setBase(std::uint64_t line) const;
-    /** Rank bytes of the set starting at word @p base. */
-    std::uint8_t *rankOf(std::size_t base)
+    /** Words of block @p idx (block 0 is the shared all-zero block). */
+    std::uint64_t *blockAt(std::uint32_t idx) const
     {
-        return reinterpret_cast<std::uint8_t *>(&dir[base + waysPerSet]);
+        return pages[idx >> kPageShift].get() +
+               static_cast<std::size_t>(idx & (kPageBlocks - 1)) * setWords;
     }
-    /** Way index holding @p line in the set at @p base, or -1. */
-    int findWay(std::size_t base, std::uint64_t line) const;
-    /** Make way @p way the most recently used of the set at @p base. */
-    void touch(std::size_t base, std::uint32_t way);
+    /** Block of @p line's set; the zero block if it was never filled. */
+    std::uint64_t *blockOf(std::uint64_t line) const
+    {
+        return blockAt(slot[setOf(line)]);
+    }
+    /** Rank bytes of the set block @p b. */
+    std::uint8_t *rankOf(std::uint64_t *b) const
+    {
+        return reinterpret_cast<std::uint8_t *>(b + waysPerSet);
+    }
+    /** Way index holding @p line in the set block @p b, or -1. */
+    int findWay(const std::uint64_t *b, std::uint64_t line) const;
+    /** Make way @p way the most recently used of the set block @p b. */
+    void touch(std::uint64_t *b, std::uint32_t way);
     void installInRange(std::uint64_t addr, std::uint32_t way_begin,
                         std::uint32_t way_end);
+    /** Append a zeroed block (a new page when the last one is full). */
+    std::uint32_t newBlock();
+
+    /** Blocks per page: 2^kPageShift (128 LLC sets = 18 KB). */
+    static constexpr std::uint32_t kPageShift = 7;
+    static constexpr std::uint32_t kPageBlocks = 1u << kPageShift;
 
     std::uint32_t sets;
     std::uint32_t waysPerSet;
     std::uint32_t lineBytes;
     std::uint32_t ddioWays;
-    /** Words per set: the tag words, then the rank bytes packed. */
+    /** Words per set block: the tag words, then the rank bytes packed. */
     std::uint32_t setWords;
+    /** Per set, the index of its block (0 = shared zero block). */
+    std::vector<std::uint32_t> slot;
     /**
-     * Per set, setWords words: one tag word per way (line address + 1,
-     * 0 = invalid way), then one recency rank byte per way.
+     * kPageBlocks blocks of setWords words each, in fill order; page 0
+     * starts with the zero block. Pages never move or grow, so a block
+     * pointer stays valid until clear().
      */
-    std::vector<std::uint64_t> dir;
+    std::vector<std::unique_ptr<std::uint64_t[]>> pages;
+    /** Blocks in use, the zero block included. */
+    std::uint32_t blockCount = 0;
     std::uint64_t hitCount = 0;
     std::uint64_t missCount = 0;
 };

@@ -547,3 +547,37 @@ TEST(ZipfSharing, ClientsOfATenantShareOneTable)
     for (std::uint32_t t = 0; t < 3; ++t)
         EXPECT_EQ(seen[t], cluster.tenantClientCount(t));
 }
+
+// --------------------------------------------------------------------------
+// Cache directories follow the working set: constructing a cluster fills
+// no LLC set, and a run fills at most one set per value line.
+// --------------------------------------------------------------------------
+
+TEST(CacheFootprint, LlcDirectoriesGrowWithTheLinesARunFills)
+{
+    ClusterConfig c;
+    c.model = {Consistency::Causal, Persistency::Synchronous};
+    c.numServers = 25;
+    c.numShards = 5;
+    c.clientsPerServer = 2;
+    c.keyCount = 5000;
+    c.workload = workload::WorkloadSpec::ycsbA(c.keyCount);
+    c.warmup = 100 * sim::kMicrosecond;
+    c.measure = 300 * sim::kMicrosecond;
+    c.seed = 42;
+    Cluster cluster(c);
+    ASSERT_EQ(cluster.numNodes(), 25u);
+    for (std::size_t i = 0; i < cluster.numNodes(); ++i) {
+        EXPECT_EQ(cluster.node(i).caches().llc().materializedSets(), 0u)
+            << "node " << i;
+    }
+
+    RunResult r = cluster.run();
+    EXPECT_GT(r.reads + r.writes, 0u);
+    const std::uint64_t bound = c.keyCount * c.node.valueLines;
+    for (std::size_t i = 0; i < cluster.numNodes(); ++i) {
+        std::uint32_t sets = cluster.node(i).caches().llc().materializedSets();
+        EXPECT_GT(sets, 0u) << "node " << i;
+        EXPECT_LE(sets, bound) << "node " << i;
+    }
+}

@@ -39,6 +39,27 @@ TEST(PropertyChecker, MonotonicTrackedPerReplica)
     EXPECT_EQ(c.monotonicViolations(), 0u);
 }
 
+TEST(PropertyChecker, MonotonicTrackedPerKeyAcrossNodesAndPages)
+{
+    PropertyChecker c;
+    // Keys far apart and nodes first seen out of order each keep their
+    // own last version, writer ids included.
+    const net::KeyId keys[] = {0, 1023, 1024, 70000};
+    for (net::KeyId k : keys)
+        c.onRead(7, k, Version{10, 2}, 10, 20);
+    c.onRead(2, 70000, Version{1, 0}, 30, 40); // another node: fine
+    c.onRead(7, 1024, Version{10, 2}, 50, 60); // same version: fine
+    c.onRead(7, 1023, Version{11, 0}, 50, 60); // newer: fine
+    EXPECT_EQ(c.monotonicViolations(), 0u);
+    c.onRead(7, 0, Version{10, 1}, 70, 80);     // lower writer: older
+    c.onRead(7, 70000, Version{9, 4}, 70, 80);  // lower number: older
+    c.onRead(7, 1023, Version{10, 2}, 70, 80);  // below the 11 read
+    EXPECT_EQ(c.monotonicViolations(), 3u);
+    c.resetObservations();
+    c.onRead(7, 1023, Version{1, 0}, 90, 100); // state forgotten
+    EXPECT_EQ(c.monotonicViolations(), 3u);
+}
+
 TEST(PropertyChecker, StaleReadDetected)
 {
     PropertyChecker c;

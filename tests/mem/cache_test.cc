@@ -391,3 +391,106 @@ TEST(SetAssocCacheDifferential, MatchesReferenceOnTinySets)
     for (const Geometry &g : geometries)
         runDifferential(g, 50000, seed++);
 }
+
+// --------------------------------------------------------------------------
+// Sparse directory: a set gets a block of its own only when a fill lands
+// in it, and clear() releases every block.
+// --------------------------------------------------------------------------
+
+namespace {
+
+/** The paper's 40 MB, 16-way LLC with its 2-way DDIO partition. */
+SetAssocCache
+paperLlc()
+{
+    const CacheHierarchyParams p = CacheHierarchyParams::paperDefault();
+    return SetAssocCache(p.llcBytes, p.llcWays, 64, p.llcDdioWays);
+}
+
+} // namespace
+
+TEST(SetAssocCacheDirectory, LookupsOfUnfilledSetsMaterializeNothing)
+{
+    SetAssocCache c = paperLlc();
+    EXPECT_EQ(c.materializedSets(), 0u);
+    Pcg32 rng(11, 5);
+    for (int i = 0; i < 2000; ++i) {
+        std::uint64_t addr = rng.nextU64() % (1ULL << 36);
+        EXPECT_FALSE(c.access(addr));
+        EXPECT_FALSE(c.contains(addr));
+        c.invalidate(addr);
+    }
+    EXPECT_EQ(c.materializedSets(), 0u);
+    EXPECT_EQ(c.misses(), 2000u);
+    c.insert(0);
+    EXPECT_EQ(c.materializedSets(), 1u);
+}
+
+TEST(SetAssocCacheDirectory, FillsMaterializeOneBlockPerDistinctSet)
+{
+    SetAssocCache c = paperLlc();
+    const CacheHierarchyParams p = CacheHierarchyParams::paperDefault();
+    ReferenceCache ref(p.llcBytes, p.llcWays, 64, p.llcDdioWays); // setOf()
+    std::vector<bool> filled(c.numSets());
+    std::uint32_t distinct = 0;
+    Pcg32 rng(12, 5);
+    // Lines of 5,000 keys filled in random order, some twice, through
+    // both the CPU and the DDIO path: ~4.7k of the 40,960 sets.
+    for (int i = 0; i < 8000; ++i) {
+        std::uint64_t addr = std::uint64_t(rng.nextBounded(5000)) * 64;
+        if (rng.nextBounded(2) == 0)
+            c.insert(addr);
+        else
+            c.insertDdio(addr);
+        std::uint32_t s = ref.setOf(addr);
+        if (!filled[s]) {
+            filled[s] = true;
+            ++distinct;
+        }
+        ASSERT_EQ(c.materializedSets(), distinct) << "fill " << i;
+    }
+    EXPECT_GT(distinct, 4000u);
+    EXPECT_LT(distinct, 5000u);
+}
+
+TEST(SetAssocCacheDirectory, ClearReleasesBlocksAndActsLikeFresh)
+{
+    SetAssocCache used = paperLlc();
+    Pcg32 fill(13, 5);
+    for (int i = 0; i < 3000; ++i)
+        used.insert(fill.nextU64() % (1ULL << 32));
+    ASSERT_GT(used.materializedSets(), 2000u);
+    used.clear();
+    EXPECT_EQ(used.materializedSets(), 0u);
+
+    // Counters survive clear(), so compare their deltas.
+    SetAssocCache fresh = paperLlc();
+    const std::uint64_t hits0 = used.hits();
+    const std::uint64_t misses0 = used.misses();
+    Pcg32 rng(14, 5);
+    for (int i = 0; i < 20000; ++i) {
+        std::uint64_t addr = std::uint64_t(rng.nextBounded(4000)) * 64;
+        switch (rng.nextBounded(4)) {
+        case 0:
+            ASSERT_EQ(used.access(addr), fresh.access(addr)) << "op " << i;
+            break;
+        case 1:
+            used.insert(addr);
+            fresh.insert(addr);
+            break;
+        case 2:
+            used.insertDdio(addr);
+            fresh.insertDdio(addr);
+            break;
+        default:
+            used.invalidate(addr);
+            fresh.invalidate(addr);
+            break;
+        }
+        ASSERT_EQ(used.contains(addr), fresh.contains(addr)) << "op " << i;
+        ASSERT_EQ(used.materializedSets(), fresh.materializedSets())
+            << "op " << i;
+    }
+    EXPECT_EQ(used.hits() - hits0, fresh.hits());
+    EXPECT_EQ(used.misses() - misses0, fresh.misses());
+}
