@@ -3,35 +3,32 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <stdexcept>
 #include <string>
 
 namespace ddp::cluster {
 
-Cluster::Cluster(const ClusterConfig &config)
-    : cfg(config),
-      rmap(config.numServers, config.replicationFactor),
-      hedgeEstimator(config.numServers)
+namespace {
+
+/** @p config itself, once ClusterConfig::validate() accepts it. */
+const ClusterConfig &
+validated(const ClusterConfig &config)
 {
-    assert(cfg.numServers >= 2 && "need at least one follower");
+    std::string err = config.validate();
+    if (!err.empty())
+        throw std::invalid_argument(err);
+    return config;
+}
 
-    if (sharded()) {
-        assert(cfg.numServers % cfg.numShards == 0 &&
-               "servers must split evenly into shard teams");
-        teamSize_ = cfg.numServers / cfg.numShards;
-        assert(teamSize_ >= 2 && "each shard team needs a follower");
-        assert(cfg.replicationFactor == 0 &&
-               "shard teams replicate fully within the team");
-        assert(!cfg.faults.any() && !cfg.faults.anySlow() &&
-               "fault plans address the single-fabric topology");
-        assert(cfg.recovery != RecoveryPolicy::SimulatedVoting &&
-               "the voting message protocol is team-local; use another "
-               "policy in sharded mode");
-        assert(!cfg.hedgedReads &&
-               "hedge estimator state is ambiguous across teams");
-    } else {
-        teamSize_ = cfg.numServers;
-    }
+} // namespace
 
+Cluster::Cluster(const ClusterConfig &config)
+    : cfg(validated(config)),
+      rmap(config.numServers, config.replicationFactor),
+      hedgeEstimator(config.numServers),
+      teamSize_(sharded() ? config.numServers / config.numShards
+                          : config.numServers)
+{
     if (cfg.faults.any() || cfg.faults.anySlow()) {
         if (cfg.faults.any()) {
             // A lossy wire needs the reliable-delivery layer or the
@@ -94,9 +91,7 @@ Cluster::Cluster(const ClusterConfig &config)
     }
 
     // Resolve the tenant table: empty = one implicit tenant driving
-    // cfg.workload. Every tenant's DDP binding must equal the run's
-    // model — one cluster executes one protocol, so heterogeneous
-    // bindings are expressed as separate runs.
+    // cfg.workload.
     if (cfg.tenants.empty()) {
         TenantSpec def;
         def.workload = cfg.workload;
@@ -104,11 +99,6 @@ Cluster::Cluster(const ClusterConfig &config)
         tenantTable.push_back(def);
     } else {
         tenantTable = cfg.tenants;
-    }
-    for (const TenantSpec &t : tenantTable) {
-        (void)t;
-        assert(t.model == cfg.model &&
-               "tenant DDP bindings must equal the run's model");
     }
 
     // Partition the client pool: explicit TenantSpec::clients counts
@@ -124,7 +114,8 @@ Cluster::Cluster(const ClusterConfig &config)
             else
                 ++flexible;
         }
-        std::uint32_t pool = total > assigned ? total - assigned : 0;
+        // validate() guarantees assigned + flexible <= total.
+        std::uint32_t pool = total - assigned;
         std::uint32_t share = flexible ? pool / flexible : 0;
         std::uint32_t extra = flexible ? pool % flexible : 0;
         for (const TenantSpec &t : tenantTable) {
@@ -230,8 +221,6 @@ Cluster::hedgeDelayFor(net::NodeId node) const
 net::NodeId
 Cluster::hedgePeerFor(net::KeyId key, net::NodeId primary)
 {
-    if (sharded())
-        return net::kNoNode; // hedging rejected at construction
     const bool any_copy =
         cfg.model.consistency == core::Consistency::Eventual;
 
@@ -454,26 +443,26 @@ Cluster::pendingReplaySnapshot(const std::vector<bool> &crashed) const
     return replay;
 }
 
-void
-Cluster::crashPartial(const std::vector<net::NodeId> &victims)
+std::vector<bool>
+Cluster::beginPartialCrash(const std::vector<net::NodeId> &victims)
 {
+    std::string err = cfg.validateCrashVictims(victims);
+    if (!err.empty())
+        throw std::invalid_argument(err);
     if (trace)
         trace->instant(static_cast<std::uint32_t>(nodes.size()), 0,
                        "partial_crash", eq.now(), "victims",
                        victims.size());
     std::vector<bool> crashed(nodes.size(), false);
-    for (net::NodeId v : victims) {
-        assert(v < nodes.size());
+    for (net::NodeId v : victims)
         crashed[v] = true;
-    }
-    if (sharded()) {
-        std::vector<std::uint32_t> perTeam(numTeams(), 0);
-        for (net::NodeId v : victims)
-            ++perTeam[teamOf(v)];
-        for (std::uint32_t t = 0; t < numTeams(); ++t)
-            assert(perTeam[t] < teamSize_ &&
-                   "each shard team needs a survivor");
-    }
+    return crashed;
+}
+
+void
+Cluster::crashPartial(const std::vector<net::NodeId> &victims)
+{
+    std::vector<bool> crashed = beginPartialCrash(victims);
 
     std::uint64_t torn_before = ctr.get("torn_persists_detected");
     if (firstCrashAt == 0)
@@ -547,23 +536,7 @@ Cluster::crashPartialStaged(const std::vector<net::NodeId> &victims,
     assert(cfg.clientRequestTimeout > 0 &&
            "staged partial crash needs client request timeouts: victims' "
            "clients would otherwise hang for the whole downtime");
-    if (trace)
-        trace->instant(static_cast<std::uint32_t>(nodes.size()), 0,
-                       "partial_crash", eq.now(), "victims",
-                       victims.size());
-    std::vector<bool> crashed(nodes.size(), false);
-    for (net::NodeId v : victims) {
-        assert(v < nodes.size());
-        crashed[v] = true;
-    }
-    if (sharded()) {
-        std::vector<std::uint32_t> perTeam(numTeams(), 0);
-        for (net::NodeId v : victims)
-            ++perTeam[teamOf(v)];
-        for (std::uint32_t t = 0; t < numTeams(); ++t)
-            assert(perTeam[t] < teamSize_ &&
-                   "each shard team needs a survivor");
-    }
+    std::vector<bool> crashed = beginPartialCrash(victims);
 
     std::uint64_t torn_before = ctr.get("torn_persists_detected");
     if (firstCrashAt == 0)

@@ -41,6 +41,8 @@ namespace ddp::cluster {
 class Cluster
 {
   public:
+    /** @throws std::invalid_argument with ClusterConfig::validate()'s
+     *  message when @p config breaks one of its rules. */
     explicit Cluster(const ClusterConfig &config);
     ~Cluster();
 
@@ -285,7 +287,8 @@ class Cluster
      * is a legal read); under every stronger model only a live
      * replica holding the freshest visible version across the live
      * replica set is — a hedge may change *which* copy answers, never
-     * weaken what the bound model guarantees.
+     * weaken what the bound model guarantees. Unsharded clusters only
+     * (ClusterConfig::validate() rejects hedging with shards).
      */
     net::NodeId hedgePeerFor(net::KeyId key, net::NodeId primary);
 
@@ -305,6 +308,10 @@ class Cluster
 
   private:
     void crashNow();
+    /** Checks @p victims (ClusterConfig::validateCrashVictims, throws
+     *  std::invalid_argument) and returns them as a per-node mask. */
+    std::vector<bool>
+    beginPartialCrash(const std::vector<net::NodeId> &victims);
     void crashPartial(const std::vector<net::NodeId> &victims);
     void crashPartialStaged(const std::vector<net::NodeId> &victims,
                             sim::Tick restart_after);

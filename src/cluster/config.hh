@@ -210,7 +210,8 @@ struct ClusterConfig
      * Poisson arrival at 1M ops/s, and no SLO. Non-empty entries
      * partition totalClients() among tenants (TenantSpec::clients, or
      * equal shares for entries left at 0). Each tenant's model binding
-     * must equal `model` (validated at cluster construction).
+     * must equal `model`, and the explicit counts must leave a client
+     * for every unset entry (validate()).
      */
     std::vector<TenantSpec> tenants;
 
@@ -229,8 +230,9 @@ struct ClusterConfig
      * evenly, with teams of at least 2), every team running its own
      * full-replication instance of the configured DDP model over a
      * contiguous key range, behind a range-partitioned router
-     * (shard::ShardLayout). Incompatible with fault-injection plans,
-     * SimulatedVoting recovery, partial replication, and hedged reads.
+     * (shard::ShardLayout). Incompatible with fault and slow plans,
+     * SimulatedVoting recovery, partial replication, and hedged reads
+     * (validate()).
      */
     std::uint32_t numShards = 0;
     /** Data-distributor decision cadence (split/migration checks). */
@@ -270,6 +272,24 @@ struct ClusterConfig
     {
         return numServers * clientsPerServer;
     }
+
+    /**
+     * The one rulebook of which combinations a cluster can run: the
+     * message of the first rule this config breaks, or "" when it is
+     * valid. Cluster's constructor throws std::invalid_argument with
+     * it; ddpsim prints it before any run starts. O(shards + tenants +
+     * fault entries + trace ops), never O(keys).
+     */
+    std::string validate() const;
+
+    /**
+     * The rule a partial crash's victim list must keep on this
+     * cluster: every id names a server, and every replica team (the
+     * whole cluster when unsharded) keeps a survivor. Returns the
+     * message of the broken rule, or "" when the list is valid.
+     */
+    std::string
+    validateCrashVictims(const std::vector<net::NodeId> &victims) const;
 };
 
 } // namespace ddp::cluster

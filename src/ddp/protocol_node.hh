@@ -216,9 +216,10 @@ class ProtocolNode
     void clientRead(net::KeyId key, OpContext ctx, OpCompletion done);
     /**
      * Issue an ordered range scan over [key, key + len) at this node
-     * (YCSB-E). Requires an ordered backend (Store::ordered()); the
-     * scan honors the binding's read semantics per visited key — see
-     * PROTOCOLS.md "Scan visibility" — before walking the structure.
+     * (YCSB-E). Requires an ordered backend (kv::storeKindOrdered());
+     * the scan honors the binding's read semantics per visited key —
+     * see PROTOCOLS.md "Scan visibility" — before walking the
+     * structure.
      */
     void clientScan(net::KeyId key, std::uint32_t len, OpContext ctx,
                     OpCompletion done);

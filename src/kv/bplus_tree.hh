@@ -38,8 +38,6 @@ class BPlusTree : public Store
     std::uint32_t lastProbes() const override { return probes; }
     StoreKind kind() const override { return StoreKind::BPlusTree; }
 
-    bool ordered() const override { return true; }
-
     /** Visit keys in [lo, hi] ascending via the leaf chain. */
     std::size_t
     rangeScan(KeyId lo, KeyId hi,

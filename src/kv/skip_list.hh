@@ -39,8 +39,6 @@ class SkipListMap : public Store
     std::uint32_t lastProbes() const override { return probes; }
     StoreKind kind() const override { return StoreKind::SkipList; }
 
-    bool ordered() const override { return true; }
-
     /**
      * Visit keys in [lo, hi] in ascending order.
      * @return number of keys visited.

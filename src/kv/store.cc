@@ -21,6 +21,12 @@ storeKindName(StoreKind kind)
     return "?";
 }
 
+bool
+storeKindOrdered(StoreKind kind)
+{
+    return kind == StoreKind::SkipList || kind == StoreKind::BPlusTree;
+}
+
 std::unique_ptr<Store>
 makeStore(StoreKind kind)
 {

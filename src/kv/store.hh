@@ -38,6 +38,12 @@ enum class StoreKind
 const char *storeKindName(StoreKind kind);
 
 /**
+ * Whether backends of @p kind keep keys in order and support
+ * rangeScan() (YCSB-E scans route through ordered backends only).
+ */
+bool storeKindOrdered(StoreKind kind);
+
+/**
  * Abstract key-value store.
  *
  * Implementations additionally report lastProbes(): the number of
@@ -66,12 +72,6 @@ class Store
 
     /** Probe count of the most recent get/put/erase. */
     virtual std::uint32_t lastProbes() const = 0;
-
-    /**
-     * Whether the backend keeps keys in order and supports
-     * rangeScan() (YCSB-E scans route through ordered backends only).
-     */
-    virtual bool ordered() const { return false; }
 
     /**
      * Visit keys in [lo, hi] in ascending order; charge the traversal

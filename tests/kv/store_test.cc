@@ -112,6 +112,14 @@ TEST_P(StoreConformance, KindAndNameConsistent)
     EXPECT_STREQ(store->name(), storeKindName(GetParam()));
 }
 
+TEST_P(StoreConformance, RangeScansExactlyWhenKindIsOrdered)
+{
+    for (KeyId k = 1; k <= 3; ++k)
+        store->put(k, k);
+    std::size_t visited = store->rangeScan(1, 3, [](KeyId, Value) {});
+    EXPECT_EQ(visited, storeKindOrdered(GetParam()) ? 3u : 0u);
+}
+
 TEST_P(StoreConformance, DifferentialAgainstStdMap)
 {
     // Randomized puts/gets/erases mirrored into std::map; within the

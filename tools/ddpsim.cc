@@ -26,6 +26,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -565,7 +566,11 @@ parseTenantSpec(const std::string &s, Options::TenantOpt &out)
     return true;
 }
 
-/** Parse argv; returns false (after printing a message) on error. */
+/**
+ * Parse argv: flag syntax, value domains and mode exclusivity. Which
+ * configurations a cluster can run is ClusterConfig::validate()'s
+ * call (runSweep). Returns false (after printing a message) on error.
+ */
 bool
 parseArgs(int argc, char **argv, Options &opt)
 {
@@ -640,8 +645,8 @@ parseArgs(int argc, char **argv, Options &opt)
                 return false;
             }
         } else if (flag == "--servers") {
-            if (!parseU32(val, opt.servers) || opt.servers < 2)
-                return bad("integer >= 2");
+            if (!parseU32(val, opt.servers))
+                return bad("unsigned integer");
         } else if (flag == "--clients-per-server") {
             if (!parseU32(val, opt.clientsPerServer) ||
                 opt.clientsPerServer == 0)
@@ -887,34 +892,10 @@ parseArgs(int argc, char **argv, Options &opt)
         }
     }
 
-    for (auto [node, from_us] : opt.isolate) {
-        (void)from_us;
-        if (node >= opt.servers) {
-            std::cerr << "--isolate node " << node
-                      << " out of range (servers: " << opt.servers
-                      << ")\n";
-            return false;
-        }
-    }
-    if (opt.crashNodes) {
-        if (opt.crashNodes->size() >= opt.servers) {
-            std::cerr << "--crash-nodes must leave at least one "
-                         "survivor (" << opt.servers << " servers)\n";
-            return false;
-        }
-        for (net::NodeId n : *opt.crashNodes) {
-            if (n >= opt.servers) {
-                std::cerr << "--crash-nodes id " << n
-                          << " out of range (servers: " << opt.servers
-                          << ")\n";
-                return false;
-            }
-        }
-        if (!opt.crashAtUs && opt.torturePoints == 0) {
-            std::cerr << "--crash-nodes needs --crash-at-us or "
-                         "--torture to pick the crash point\n";
-            return false;
-        }
+    if (opt.crashNodes && !opt.crashAtUs && opt.torturePoints == 0) {
+        std::cerr << "--crash-nodes needs --crash-at-us or --torture to "
+                     "pick the crash point\n";
+        return false;
     }
     if (opt.torturePoints > 0 && !opt.traceOut.empty()) {
         std::cerr << "--trace-out is not available with --torture "
@@ -934,6 +915,8 @@ parseArgs(int argc, char **argv, Options &opt)
                   << opt.warmupUs + opt.measureUs << " us)\n";
         return false;
     }
+    // ClusterConfig::validate() owns this rule too; the flag-named
+    // text is kept because scripts match it.
     if (opt.slowNode && *opt.slowNode >= opt.servers) {
         std::cerr << "--slow-node " << *opt.slowNode
                   << " out of range (servers: " << opt.servers << ")\n";
@@ -963,73 +946,8 @@ parseArgs(int argc, char **argv, Options &opt)
             return false;
         }
     }
-    // Sharded topology: every constraint the cluster asserts is
-    // checked here first so the CLI reports a message instead of
-    // aborting (and sweep workers never die mid-map).
-    if (opt.shards > 0) {
-        if (opt.servers % opt.shards != 0 ||
-            opt.servers / opt.shards < 2) {
-            std::cerr << "--shards " << opt.shards
-                      << " must divide --servers " << opt.servers
-                      << " into teams of at least 2 nodes\n";
-            return false;
-        }
-        if (opt.keys < opt.shards) {
-            std::cerr << "--shards " << opt.shards
-                      << " needs at least that many --keys ("
-                      << opt.keys << " given): every shard owns a "
-                         "non-empty key range\n";
-            return false;
-        }
-        if (opt.replication != 0) {
-            std::cerr << "--shards and --replication are exclusive: "
-                         "each shard team replicates fully within "
-                         "the team\n";
-            return false;
-        }
-        if (opt.recovery == "simulated") {
-            std::cerr << "--recovery=simulated is not available with "
-                         "--shards (the voting message protocol is "
-                         "team-local); use voting, local or instant\n";
-            return false;
-        }
-        if (opt.dropRate > 0 || opt.dupRate > 0 || opt.delayRate > 0 ||
-            opt.reorderRate > 0 || !opt.isolate.empty() ||
-            opt.partitionUs) {
-            std::cerr << "fault injection is not available with "
-                         "--shards: fault plans address the "
-                         "single-fabric topology, sharded teams run "
-                         "one isolated fabric each\n";
-            return false;
-        }
-        if (opt.slowNode || opt.graySweep) {
-            std::cerr << "fail-slow injection is not available with "
-                         "--shards (per-team fabrics)\n";
-            return false;
-        }
-        if (opt.hedge) {
-            std::cerr << "--hedge is not available with --shards: "
-                         "the hedge estimator's per-server state is "
-                         "ambiguous across teams\n";
-            return false;
-        }
-        if (opt.crashNodes) {
-            // The cluster requires a survivor per team (a whole dead
-            // team would strand its key range with no audit target).
-            std::uint32_t team_size = opt.servers / opt.shards;
-            std::vector<std::uint32_t> per_team(opt.shards, 0);
-            for (net::NodeId n : *opt.crashNodes)
-                ++per_team[n / team_size];
-            for (std::uint32_t t = 0; t < opt.shards; ++t) {
-                if (per_team[t] >= team_size) {
-                    std::cerr << "--crash-nodes kills all "
-                              << team_size << " nodes of shard team "
-                              << t << "; each team needs a survivor\n";
-                    return false;
-                }
-            }
-        }
-    } else if (opt.splitThreshold > 0 || opt.shardMaxOps > 0) {
+    if (opt.shards == 0 &&
+        (opt.splitThreshold > 0 || opt.shardMaxOps > 0)) {
         std::cerr << "--split-threshold / --shard-max-ops drive the "
                      "shard data distributor; add --shards N\n";
         return false;
@@ -1063,45 +981,6 @@ parseArgs(int argc, char **argv, Options &opt)
             return false;
         }
     }
-    // Explicit tenant client counts partition the pool; they must
-    // leave at least one client for every tenant that did not name a
-    // count, or a tenant silently offers zero load.
-    if (!opt.tenants.empty()) {
-        std::uint64_t total =
-            static_cast<std::uint64_t>(opt.servers) *
-            opt.clientsPerServer;
-        std::uint64_t assigned = 0, flexible = 0;
-        for (const Options::TenantOpt &t : opt.tenants) {
-            if (t.clients > 0)
-                assigned += t.clients;
-            else
-                ++flexible;
-        }
-        if (assigned + flexible > total) {
-            std::cerr << "--tenant client counts need " << assigned
-                      << " clients plus " << flexible
-                      << " for the unset tenants, but the pool has "
-                      << total
-                      << " (--servers x --clients-per-server); shrink "
-                         "the counts or grow the pool\n";
-            return false;
-        }
-    }
-    bool scans = opt.workload == "e";
-    for (const Options::TenantOpt &t : opt.tenants)
-        scans = scans || t.workload == "e";
-    if (scans && opt.store != "skiplist" && opt.store != "bplustree") {
-        std::cerr << "workload e issues range scans, which need an "
-                     "ordered store: --store skiplist | bplustree\n";
-        return false;
-    }
-    if (opt.recovery == "instant" && !opt.commitRecords) {
-        std::cerr << "--recovery=instant requires commit records: "
-                     "on-demand fault-in must tell torn from committed "
-                     "values by checksum, which the --no-commit-records "
-                     "ablation removes\n";
-        return false;
-    }
     return true;
 }
 
@@ -1126,7 +1005,7 @@ makeConfig(const Options &opt, core::DdpModel model)
     cfg.node.storeKind = kind;
     cfg.xactMaxAttempts = opt.xactMaxAttempts;
 
-    // Sharded multi-group topology (validated in parseArgs).
+    // Sharded multi-group topology.
     cfg.numShards = opt.shards;
     cfg.shardSplitThreshold = opt.splitThreshold;
     cfg.shardMaxOps = opt.shardMaxOps;
@@ -1134,12 +1013,9 @@ makeConfig(const Options &opt, core::DdpModel model)
     // Multi-line values: torture runs default to 4-line (256B) values
     // so crashes can land mid-persist and exercise the torn-write
     // machinery; plain runs keep the single-line fast path.
-    std::uint32_t value_lines =
-        opt.valueLines != 0 ? opt.valueLines
-                            : (opt.torturePoints > 0 ? 4 : 1);
-    cfg.node.valueLines = value_lines;
-    if (value_lines > 1)
-        cfg.node.persistCoalescing = true;
+    cfg.node.valueLines = opt.valueLines != 0
+                              ? opt.valueLines
+                              : (opt.torturePoints > 0 ? 4 : 1);
     cfg.node.commitRecords = opt.commitRecords;
 
     // A staged partial crash parks the victims' clients on a dead
@@ -1179,8 +1055,6 @@ makeConfig(const Options &opt, core::DdpModel model)
     }
     cfg.faults.allLinks.reorderRate = opt.reorderRate;
     for (auto [node, from_us] : opt.isolate) {
-        // node range validated in parseArgs — makeConfig runs on sweep
-        // worker threads and must never exit the process.
         cfg.faults.outages.push_back(
             net::NodeOutage{node, from_us * sim::kMicrosecond,
                             sim::kTickNever});
@@ -1194,8 +1068,6 @@ makeConfig(const Options &opt, core::DdpModel model)
         cfg.faults.partitions.push_back(std::move(w));
     }
     if (opt.slowNode) {
-        // node range validated in parseArgs — makeConfig runs on sweep
-        // worker threads and must never exit the process.
         net::SlowWindow w;
         w.node = *opt.slowNode;
         if (opt.slowLayer == "nic")
@@ -1248,15 +1120,211 @@ makeConfig(const Options &opt, core::DdpModel model)
     return cfg;
 }
 
+/** One cell of a sweep grid: a model at one point of the mode's axis. */
 struct Row
 {
     core::DdpModel model;
+    /** Index along the mode's second axis (crash point, mitigations
+     *  off/on, offered load); 0 for plain runs. */
+    std::size_t point = 0;
     cluster::RunResult result;
-    std::uint64_t lost = 0;
+    bool violation = false;
     /** Serialized trace-event fragment (--trace-out only). */
     std::string traceJson;
     std::uint64_t traceDropped = 0;
 };
+
+/**
+ * One ddpsim mode as a grid of models x points, each cell one
+ * independent cluster run. Modes differ only in these fields and in
+ * their printers; runSweep() and verdict() do the rest.
+ */
+struct Sweep
+{
+    /** Progress, summary and verdict prefix, e.g. "gray sweep". */
+    const char *name = "sweep";
+    std::vector<core::DdpModel> models;
+    std::size_t points = 1;
+    /** The cell's cluster config. */
+    std::function<cluster::ClusterConfig(const core::DdpModel &,
+                                         std::size_t point)>
+        config;
+    /** Attach a PropertyChecker to every run. */
+    bool checked = true;
+    /** Schedules the cell's crash, if it has one. */
+    std::function<void(cluster::Cluster &, std::size_t point)> arm =
+        [](cluster::Cluster &, std::size_t) {};
+    /** Whether a finished cell broke what its model guarantees. */
+    std::function<bool(const Row &)> violates = [](const Row &) {
+        return false;
+    };
+    /** What violating runs broke, and the passing verdict's tail. */
+    const char *violated = "";
+    const char *passed = "";
+};
+
+/**
+ * The models a mode sweeps: @p candidates minus the ones the config
+ * rules reject while others pass (partial replication drops Causal
+ * and Transactional). When the rules reject every candidate the list
+ * stays whole, so runSweep() reports the broken rule.
+ */
+std::vector<core::DdpModel>
+sweepModels(const Options &opt, const std::vector<core::DdpModel> &candidates)
+{
+    std::vector<core::DdpModel> kept;
+    std::string skipped;
+    for (const core::DdpModel &m : candidates) {
+        std::string err = makeConfig(opt, m).validate();
+        if (err.empty())
+            kept.push_back(m);
+        else
+            skipped += "skipping " + core::modelName(m) + ": " + err + "\n";
+    }
+    if (kept.empty())
+        return candidates;
+    std::cerr << skipped;
+    return kept;
+}
+
+/** --all-models, or the one selected model. */
+std::vector<core::DdpModel>
+selectedModels(const Options &opt)
+{
+    return sweepModels(opt, opt.allModels
+                                ? core::allModels()
+                                : std::vector<core::DdpModel>{opt.model});
+}
+
+/**
+ * Builds and validates every cell's config before any run starts:
+ * the first broken rule (ClusterConfig::validate(), then the crash
+ * victims) is printed and nullopt returned. Then runs the cells across
+ * --jobs workers with progress lines and an "N runs, E events in W s"
+ * summary on stderr. Rows come back in cell order whatever the job
+ * count, so output stays byte-identical.
+ */
+std::optional<std::vector<Row>>
+runSweep(const Options &opt, const Sweep &sw, const workload::Trace *trace)
+{
+    const std::size_t n = sw.models.size() * sw.points;
+    std::vector<cluster::ClusterConfig> cfgs;
+    cfgs.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        cluster::ClusterConfig cfg =
+            sw.config(sw.models[i / sw.points], i % sw.points);
+        cfg.trace = trace;
+        std::string err = cfg.validate();
+        if (err.empty() && opt.crashNodes)
+            err = cfg.validateCrashVictims(*opt.crashNodes);
+        if (!err.empty()) {
+            std::cerr << "invalid configuration: " << err << "\n";
+            return std::nullopt;
+        }
+        cfgs.push_back(std::move(cfg));
+    }
+
+    auto t0 = std::chrono::steady_clock::now();
+    sim::SweepRunner runner(opt.jobs);
+    const bool verbose = n > 1;
+    if (verbose && runner.jobs() > 1)
+        std::cerr << sw.name << ": " << sw.models.size() << " model(s), "
+                  << n << " runs (" << runner.jobs() << " jobs)...\n";
+    std::vector<Row> rows = runner.map(n, [&](std::size_t i) {
+        Row row;
+        row.model = sw.models[i / sw.points];
+        row.point = i % sw.points;
+        if (verbose && runner.jobs() <= 1 && row.point == 0)
+            std::cerr << sw.name << ": " << core::modelName(row.model)
+                      << "...\n";
+        cluster::Cluster c(cfgs[i]);
+        // Per-run recorder with a disjoint pid block: run N's tracks
+        // are pids [N*1000, N*1000+servers]. Fragments are serialized
+        // here on the worker and merged in run order by writeTrace(),
+        // so the file is byte-identical for any --jobs count.
+        std::optional<sim::TraceRecorder> rec;
+        if (!opt.traceOut.empty()) {
+            rec.emplace(static_cast<std::uint32_t>(i) * 1000);
+            c.setTrace(&*rec);
+        }
+        core::PropertyChecker checker;
+        if (sw.checked)
+            c.setChecker(&checker);
+        sw.arm(c, row.point);
+        row.result = c.run();
+        row.violation = sw.violates(row);
+        if (rec) {
+            row.traceJson = rec->serialize();
+            row.traceDropped = rec->dropped();
+        }
+        return row;
+    });
+
+    if (verbose) {
+        std::uint64_t events = 0;
+        for (const Row &r : rows)
+            events += r.result.eventsExecuted;
+        double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+        std::cerr << sw.name << ": " << rows.size() << " runs, " << events
+                  << " events in " << wall << " s ("
+                  << (wall > 0 ? static_cast<double>(events) / wall : 0.0)
+                  << " events/s, " << runner.jobs() << " jobs)\n";
+    }
+    return rows;
+}
+
+/**
+ * A checked sweep's exit status: 1 with "<NAME> FAILED: V of N runs
+ * violated ..." when any row violated, else 0 with "<name> passed".
+ */
+int
+verdict(const Sweep &sw, const std::vector<Row> &rows)
+{
+    std::size_t bad = std::count_if(rows.begin(), rows.end(),
+                                    [](const Row &r) { return r.violation; });
+    if (bad > 0) {
+        std::string name = sw.name;
+        for (char &ch : name)
+            ch = static_cast<char>(
+                std::toupper(static_cast<unsigned char>(ch)));
+        std::cerr << name << " FAILED: " << bad << " of " << rows.size()
+                  << " runs violated " << sw.violated << "\n";
+        return 1;
+    }
+    std::cerr << sw.name << " passed: " << rows.size() << ' ' << sw.passed
+              << "\n";
+    return 0;
+}
+
+/**
+ * Schedules a crash at @p at_us: of the whole cluster, or of
+ * --crash-nodes, staged with a restart after @p restart_us when > 0.
+ */
+void
+armCrash(cluster::Cluster &c, const Options &opt, std::uint64_t at_us,
+         std::uint64_t restart_us)
+{
+    sim::Tick at = at_us * sim::kMicrosecond;
+    if (!opt.crashNodes)
+        c.scheduleCrash(at);
+    else if (restart_us > 0)
+        c.schedulePartialCrash(at, *opt.crashNodes,
+                               restart_us * sim::kMicrosecond);
+    else
+        c.schedulePartialCrash(at, *opt.crashNodes);
+}
+
+/** A read its model forbids (non-monotonic, stale) or a torn read. */
+bool
+readsViolate(const Row &r)
+{
+    core::ModelTraits traits = core::traitsOf(r.model);
+    return (traits.monotonicReads && r.result.monotonicViolations > 0) ||
+           (traits.nonStaleReads && r.result.staleReads > 0) ||
+           r.result.tornReadsServed > 0;
+}
 
 /** "0;2;4" — semicolon-joined so the list stays one CSV field. */
 std::string
@@ -1271,57 +1339,6 @@ joinNodes(const std::vector<net::NodeId> &nodes)
     return out;
 }
 
-Row
-runExperiment(const Options &opt, core::DdpModel model,
-              const workload::Trace *trace, std::size_t run_idx)
-{
-    if (opt.replication != 0 &&
-        (model.consistency == core::Consistency::Causal ||
-         model.consistency == core::Consistency::Transactional)) {
-        std::cerr << "error: " << core::modelName(model)
-                  << " requires full replication (--replication 0)\n";
-        std::exit(1);
-    }
-    cluster::ClusterConfig cfg = makeConfig(opt, model);
-    cfg.trace = trace;
-    cluster::Cluster c(cfg);
-
-    // Per-run recorder with a disjoint pid block: run N's tracks are
-    // pids [N*1000, N*1000+servers]. Fragments are serialized here on
-    // the worker and merged in model order by main(), so the file is
-    // byte-identical for any --jobs count.
-    std::optional<sim::TraceRecorder> rec;
-    if (!opt.traceOut.empty()) {
-        rec.emplace(static_cast<std::uint32_t>(run_idx) * 1000);
-        c.setTrace(&*rec);
-    }
-
-    core::PropertyChecker checker;
-    if (opt.crashAtUs) {
-        c.setChecker(&checker);
-        sim::Tick at = *opt.crashAtUs * sim::kMicrosecond;
-        if (opt.crashNodes) {
-            if (opt.restartAfterUs > 0)
-                c.schedulePartialCrash(
-                    at, *opt.crashNodes,
-                    opt.restartAfterUs * sim::kMicrosecond);
-            else
-                c.schedulePartialCrash(at, *opt.crashNodes);
-        } else {
-            c.scheduleCrash(at);
-        }
-    }
-    Row row;
-    row.model = model;
-    row.result = c.run();
-    row.lost = row.result.lostAckedWriteKeys;
-    if (rec) {
-        row.traceJson = rec->serialize();
-        row.traceDropped = rec->dropped();
-    }
-    return row;
-}
-
 void
 printRows(const Options &opt, const std::vector<Row> &rows)
 {
@@ -1333,7 +1350,7 @@ printRows(const Options &opt, const std::vector<Row> &rows)
             w.field("bench", "ddpsim");
             bench::jsonPerfFields(w, r.model, opt.seed, r.result);
             w.field("recovery", opt.recovery);
-            w.field("lost_acked_keys", r.lost);
+            w.field("lost_acked_keys", r.result.lostAckedWriteKeys);
             w.field("lost_acked_writes", r.result.lostAckedWrites);
             w.field("xact_aborts", r.result.xactAborted);
             w.field("net_dropped", r.result.netDropped);
@@ -1367,7 +1384,8 @@ printRows(const Options &opt, const std::vector<Row> &rows)
                       << r.result.messages << ','
                       << r.result.persistsIssued << ','
                       << r.result.xactAborted << ','
-                      << r.result.xactAbandoned << ',' << r.lost << ','
+                      << r.result.xactAbandoned << ','
+                      << r.result.lostAckedWriteKeys << ','
                       << r.result.lostAckedWrites << ','
                       << r.result.tornPersistsDetected << ','
                       << r.result.tornValuesInstalled << ','
@@ -1402,7 +1420,9 @@ printRows(const Options &opt, const std::vector<Row> &rows)
                   stats::Table::num(r.result.meanWriteNs, 0),
                   stats::Table::num(r.result.p95ReadNs, 0),
                   stats::Table::num(r.result.p95WriteNs, 0),
-                  opt.crashAtUs ? std::to_string(r.lost) : "-"});
+                  opt.crashAtUs
+                      ? std::to_string(r.result.lostAckedWriteKeys)
+                      : "-"});
     }
     t.print(std::cout);
 
@@ -1427,144 +1447,76 @@ printRows(const Options &opt, const std::vector<Row> &rows)
     ft.print(std::cout);
 }
 
+/** Merges the runs' trace fragments into --trace-out; 1 on I/O error. */
+int
+writeTrace(const Options &opt, std::vector<Row> &rows)
+{
+    std::ofstream out(opt.traceOut, std::ios::binary);
+    if (!out) {
+        std::cerr << "cannot open '" << opt.traceOut << "' for writing\n";
+        return 1;
+    }
+    std::vector<std::string> fragments;
+    fragments.reserve(rows.size());
+    std::uint64_t dropped = 0;
+    for (Row &r : rows) {
+        fragments.push_back(std::move(r.traceJson));
+        dropped += r.traceDropped;
+    }
+    sim::TraceRecorder::writeFile(out, fragments);
+    if (!out) {
+        std::cerr << "write to '" << opt.traceOut << "' failed\n";
+        return 1;
+    }
+    std::cerr << "wrote timeline to " << opt.traceOut;
+    if (dropped > 0)
+        std::cerr << " (" << dropped << " events dropped at the per-run cap)";
+    std::cerr << "\n";
+    return 0;
+}
+
+/** One run per selected model, optionally crashed at --crash-at-us. */
+int
+runPlain(const Options &opt, const workload::Trace *trace)
+{
+    Sweep sw;
+    sw.models = selectedModels(opt);
+    sw.config = [&](const core::DdpModel &m, std::size_t) {
+        return makeConfig(opt, m);
+    };
+    sw.checked = opt.crashAtUs.has_value();
+    if (opt.crashAtUs)
+        sw.arm = [&](cluster::Cluster &c, std::size_t) {
+            armCrash(c, opt, *opt.crashAtUs, opt.restartAfterUs);
+        };
+    std::optional<std::vector<Row>> rows = runSweep(opt, sw, trace);
+    if (!rows)
+        return 1;
+    printRows(opt, *rows);
+    return opt.traceOut.empty() ? 0 : writeTrace(opt, *rows);
+}
+
 // --------------------------------------------------------------------------
 // Crash-point torture sweep
 // --------------------------------------------------------------------------
 
-struct TortureRow
+void
+printTorture(const Options &opt, const std::vector<std::uint64_t> &points_us,
+             const std::vector<Row> &rows)
 {
-    core::DdpModel model;
-    std::uint64_t crashAtUs = 0;
-    bool staged = false;
-    bool zeroLoss = false;
-    bool violation = false;
-    cluster::RunResult result;
-};
-
-/**
- * Re-run the seeded workload once per crash point per model, audit
- * durability after every recovery, and judge each run against the
- * Table 4 taxonomy:
- *
- *  - a zero-loss binding (Strict persistency, or Synchronous under
- *    Linearizable/Transactional) must lose no acknowledged write;
- *  - no torn value may ever be served to a client;
- *  - with commit records on, recovery must never install a torn value;
- *  - a restarted node must converge with the survivors.
- */
-int
-runTorture(const Options &opt, const workload::Trace *trace)
-{
-    std::vector<core::DdpModel> models;
-    if (opt.allModels) {
-        for (const core::DdpModel &m : core::allModels()) {
-            if (opt.replication != 0 &&
-                (m.consistency == core::Consistency::Causal ||
-                 m.consistency == core::Consistency::Transactional)) {
-                std::cerr << "skipping " << core::modelName(m)
-                          << ": partial replication unsupported\n";
-                continue;
-            }
-            models.push_back(m);
-        }
-    } else {
-        models.push_back(opt.model);
-    }
-
-    // Crash points: evenly spaced through the measurement window, or
-    // seeded-random inside it. The same points are reused for every
-    // model so sweeps stay comparable.
-    sim::Pcg32 prng(opt.seed ^ 0x7047u, 1);
-    std::vector<std::uint64_t> points_us;
-    for (std::uint32_t i = 0; i < opt.torturePoints; ++i) {
-        std::uint64_t at =
-            opt.tortureRandom
-                ? opt.warmupUs + prng.nextU64() % opt.measureUs
-                : opt.warmupUs + (opt.measureUs *
-                                  static_cast<std::uint64_t>(i + 1)) /
-                                     (opt.torturePoints + 1);
-        points_us.push_back(at);
-    }
-
-    bool staged = opt.crashNodes.has_value();
-    std::uint64_t restart_us =
-        opt.restartAfterUs > 0 ? opt.restartAfterUs : 200;
-
-    // One sweep item per (model, crash point), flattened so a parallel
-    // runner keeps all cores busy even for a single model. Items are
-    // fully independent; results come back in index order, so output
-    // is byte-identical to the old serial double loop.
-    auto sweep_t0 = std::chrono::steady_clock::now();
-    sim::SweepRunner runner(opt.jobs);
-    std::size_t points = points_us.size();
-    if (runner.jobs() > 1) {
-        std::cerr << "torturing " << models.size() << " model(s) x "
-                  << points << " crash points (" << runner.jobs()
-                  << " jobs)...\n";
-    }
-    std::vector<TortureRow> rows = runner.map(
-        models.size() * points, [&](std::size_t i) {
-            const core::DdpModel &model = models[i / points];
-            std::uint64_t at_us = points_us[i % points];
-            if (runner.jobs() <= 1 && i % points == 0) {
-                std::cerr << "torturing " << core::modelName(model)
-                          << " (" << points << " crash points)...\n";
-            }
-            cluster::ClusterConfig cfg = makeConfig(opt, model);
-            cfg.trace = trace;
-            cluster::Cluster c(cfg);
-            core::PropertyChecker checker;
-            c.setChecker(&checker);
-            sim::Tick at = at_us * sim::kMicrosecond;
-            if (staged) {
-                c.schedulePartialCrash(at, *opt.crashNodes,
-                                       restart_us * sim::kMicrosecond);
-            } else {
-                c.scheduleCrash(at);
-            }
-
-            TortureRow row;
-            row.model = model;
-            row.crashAtUs = at_us;
-            row.staged = staged;
-            row.result = c.run();
-            row.zeroLoss = core::writesDurableAtCompletion(model);
-            row.violation =
-                (row.zeroLoss && row.result.lostAckedWrites > 0) ||
-                row.result.tornReadsServed > 0 ||
-                (opt.commitRecords &&
-                 row.result.tornValuesInstalled > 0) ||
-                row.result.convergenceFailures > 0;
-            return row;
-        });
-    std::uint64_t violations = 0;
-    std::uint64_t sweep_events = 0;
-    for (const TortureRow &r : rows) {
-        if (r.violation)
-            ++violations;
-        sweep_events += r.result.eventsExecuted;
-    }
-    double sweep_wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - sweep_t0)
-                            .count();
-    std::cerr << "torture sweep: " << rows.size() << " runs, "
-              << sweep_events << " events in " << sweep_wall << " s ("
-              << (sweep_wall > 0 ? static_cast<double>(sweep_events) /
-                                       sweep_wall
-                                 : 0.0)
-              << " events/s, " << runner.jobs() << " jobs)\n";
-
+    const char *mode = opt.crashNodes ? "partial" : "full";
     if (opt.format == Options::Format::Json) {
         bench::JsonArrayWriter w(std::cout);
-        for (const TortureRow &r : rows) {
+        for (const Row &r : rows) {
             w.beginRecord();
             w.field("schema", "ddp-bench-v1");
             w.field("bench", "ddpsim-torture");
             bench::jsonPerfFields(w, r.model, opt.seed, r.result);
             w.field("recovery", opt.recovery);
-            w.field("crash_at_us", r.crashAtUs);
-            w.field("crash_mode", r.staged ? "partial" : "full");
-            w.field("zero_loss_required", r.zeroLoss);
+            w.field("crash_at_us", points_us[r.point]);
+            w.field("crash_mode", mode);
+            w.field("zero_loss_required",
+                    core::writesDurableAtCompletion(r.model));
             w.field("lost_acked_keys", r.result.lostAckedWriteKeys);
             w.field("lost_acked_writes", r.result.lostAckedWrites);
             w.field("torn_detected", r.result.tornPersistsDetected);
@@ -1585,14 +1537,14 @@ runTorture(const Options &opt, const workload::Trace *trace)
                      "torn_served,node_restarts,convergence_failures,"
                      "client_failovers,retransmits_deduped,"
                      "xact_abandoned,violation\n";
-        for (const TortureRow &r : rows) {
+        for (const Row &r : rows) {
             std::cout << core::consistencyName(r.model.consistency)
                       << ','
                       << core::persistencyName(r.model.persistency)
-                      << ',' << r.crashAtUs << ','
-                      << (r.staged ? "partial" : "full") << ','
-                      << (r.zeroLoss ? 1 : 0) << ','
-                      << r.result.lostAckedWriteKeys << ','
+                      << ',' << points_us[r.point] << ',' << mode << ','
+                      << (core::writesDurableAtCompletion(r.model) ? 1
+                                                                   : 0)
+                      << ',' << r.result.lostAckedWriteKeys << ','
                       << r.result.lostAckedWrites << ','
                       << r.result.tornPersistsDetected << ','
                       << r.result.tornValuesInstalled << ','
@@ -1609,150 +1561,100 @@ runTorture(const Options &opt, const workload::Trace *trace)
         stats::Table t({"Model", "Points", "ZeroLoss", "LostWrites",
                         "TornDet", "TornInst", "TornServed", "ConvFail",
                         "Viol"});
-        std::size_t idx = 0;
-        for (const core::DdpModel &model : models) {
+        const std::size_t points = points_us.size();
+        for (std::size_t m = 0; m < rows.size(); m += points) {
             std::uint64_t lost = 0, torn_det = 0, torn_inst = 0;
             std::uint64_t torn_served = 0, conv = 0, viol = 0;
-            bool zero_loss = false;
-            for (std::uint32_t i = 0; i < points_us.size(); ++i) {
-                const TortureRow &r = rows[idx++];
+            for (std::size_t i = m; i < m + points; ++i) {
+                const Row &r = rows[i];
                 lost += r.result.lostAckedWrites;
                 torn_det += r.result.tornPersistsDetected;
                 torn_inst += r.result.tornValuesInstalled;
                 torn_served += r.result.tornReadsServed;
                 conv += r.result.convergenceFailures;
                 viol += r.violation ? 1 : 0;
-                zero_loss = r.zeroLoss;
             }
-            t.addRow({core::modelName(model),
-                      std::to_string(points_us.size()),
-                      zero_loss ? "yes" : "no", std::to_string(lost),
-                      std::to_string(torn_det),
+            t.addRow({core::modelName(rows[m].model),
+                      std::to_string(points),
+                      core::writesDurableAtCompletion(rows[m].model)
+                          ? "yes"
+                          : "no",
+                      std::to_string(lost), std::to_string(torn_det),
                       std::to_string(torn_inst),
                       std::to_string(torn_served), std::to_string(conv),
                       std::to_string(viol)});
         }
         t.print(std::cout);
     }
+}
 
-    if (violations > 0) {
-        std::cerr << "TORTURE FAILED: " << violations << " of "
-                  << rows.size() << " runs violated the durability "
-                  << "taxonomy\n";
-        return 1;
+/**
+ * Re-run the seeded workload once per crash point per model, audit
+ * durability after every recovery, and judge each run against the
+ * Table 4 taxonomy:
+ *
+ *  - a zero-loss binding (Strict persistency, or Synchronous under
+ *    Linearizable/Transactional) must lose no acknowledged write;
+ *  - no torn value may ever be served to a client;
+ *  - with commit records on, recovery must never install a torn value;
+ *  - a restarted node must converge with the survivors.
+ */
+int
+runTorture(const Options &opt, const workload::Trace *trace)
+{
+    // Crash points: evenly spaced through the measurement window, or
+    // seeded-random inside it. The same points are reused for every
+    // model so sweeps stay comparable.
+    sim::Pcg32 prng(opt.seed ^ 0x7047u, 1);
+    std::vector<std::uint64_t> points_us;
+    for (std::uint32_t i = 0; i < opt.torturePoints; ++i) {
+        std::uint64_t at =
+            opt.tortureRandom
+                ? opt.warmupUs + prng.nextU64() % opt.measureUs
+                : opt.warmupUs + (opt.measureUs *
+                                  static_cast<std::uint64_t>(i + 1)) /
+                                     (opt.torturePoints + 1);
+        points_us.push_back(at);
     }
-    std::cerr << "torture passed: " << rows.size()
-              << " crash/recovery runs, zero taxonomy violations\n";
-    return 0;
+    std::uint64_t restart_us =
+        opt.restartAfterUs > 0 ? opt.restartAfterUs : 200;
+
+    Sweep sw;
+    sw.name = "torture";
+    sw.models = selectedModels(opt);
+    sw.points = points_us.size();
+    sw.config = [&](const core::DdpModel &m, std::size_t) {
+        return makeConfig(opt, m);
+    };
+    sw.arm = [&](cluster::Cluster &c, std::size_t point) {
+        armCrash(c, opt, points_us[point], restart_us);
+    };
+    sw.violates = [&](const Row &r) {
+        return (core::writesDurableAtCompletion(r.model) &&
+                r.result.lostAckedWrites > 0) ||
+               r.result.tornReadsServed > 0 ||
+               (opt.commitRecords && r.result.tornValuesInstalled > 0) ||
+               r.result.convergenceFailures > 0;
+    };
+    sw.violated = "the durability taxonomy";
+    sw.passed = "crash/recovery runs, zero taxonomy violations";
+    std::optional<std::vector<Row>> rows = runSweep(opt, sw, trace);
+    if (!rows)
+        return 1;
+    printTorture(opt, points_us, *rows);
+    return verdict(sw, *rows);
 }
 
 // --------------------------------------------------------------------------
 // Gray-node mitigation sweep
 // --------------------------------------------------------------------------
 
-struct GrayRow
+void
+printGray(const Options &opt, std::uint32_t gray, const std::vector<Row> &rows)
 {
-    core::DdpModel model;
-    bool mitigated = false;
-    cluster::RunResult result;
-    bool violation = false;
-};
-
-/**
- * Fail-slow A/B experiment: run every model twice against a cluster
- * with one gray node — same seeded workload, mitigations (hedged reads
- * + overload shedding) off then on. The gray node keeps answering,
- * just slower; failure detectors built for fail-stop never fire, which
- * is exactly why the mitigation path matters.
- *
- * A PropertyChecker rides along on every run and the sweep exits
- * non-zero if any run violated what its bound model guarantees: a
- * hedge may change *which* replica answers a read, but it must never
- * introduce non-monotonic or stale reads under a model that forbids
- * them, and no torn value may ever be served.
- */
-int
-runGraySweep(const Options &opt, const workload::Trace *trace)
-{
-    std::vector<core::DdpModel> models;
-    if (opt.allModels) {
-        for (const core::DdpModel &m : core::allModels()) {
-            if (opt.replication != 0 &&
-                (m.consistency == core::Consistency::Causal ||
-                 m.consistency == core::Consistency::Transactional)) {
-                std::cerr << "skipping " << core::modelName(m)
-                          << ": partial replication unsupported\n";
-                continue;
-            }
-            models.push_back(m);
-        }
-    } else {
-        models.push_back(opt.model);
-    }
-
-    // Default gray node: 1 (never the coordinator of client 0's home,
-    // and always valid since --servers >= 2).
-    std::uint32_t gray = opt.slowNode ? *opt.slowNode : 1;
-
-    auto sweep_t0 = std::chrono::steady_clock::now();
-    sim::SweepRunner runner(opt.jobs);
-    if (runner.jobs() > 1) {
-        std::cerr << "gray sweep: " << models.size()
-                  << " model(s) x {off, on} (" << runner.jobs()
-                  << " jobs)...\n";
-    }
-    std::vector<GrayRow> rows = runner.map(
-        models.size() * 2, [&](std::size_t i) {
-            const core::DdpModel &model = models[i / 2];
-            bool mitigated = (i % 2) == 1;
-            if (runner.jobs() <= 1 && !mitigated) {
-                std::cerr << "gray-running " << core::modelName(model)
-                          << "...\n";
-            }
-            Options o = opt;
-            o.slowNode = gray;
-            o.hedge = mitigated;
-            o.shed = mitigated;
-            cluster::ClusterConfig cfg = makeConfig(o, model);
-            cfg.trace = trace;
-            cluster::Cluster c(cfg);
-            core::PropertyChecker checker;
-            c.setChecker(&checker);
-
-            GrayRow row;
-            row.model = model;
-            row.mitigated = mitigated;
-            row.result = c.run();
-            core::ModelTraits traits = core::traitsOf(model);
-            row.violation =
-                (traits.monotonicReads &&
-                 row.result.monotonicViolations > 0) ||
-                (traits.nonStaleReads &&
-                 row.result.staleReads > 0) ||
-                row.result.tornReadsServed > 0;
-            return row;
-        });
-
-    std::uint64_t violations = 0;
-    std::uint64_t sweep_events = 0;
-    for (const GrayRow &r : rows) {
-        if (r.violation)
-            ++violations;
-        sweep_events += r.result.eventsExecuted;
-    }
-    double sweep_wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - sweep_t0)
-                            .count();
-    std::cerr << "gray sweep: " << rows.size() << " runs, "
-              << sweep_events << " events in " << sweep_wall << " s ("
-              << (sweep_wall > 0 ? static_cast<double>(sweep_events) /
-                                       sweep_wall
-                                 : 0.0)
-              << " events/s, " << runner.jobs() << " jobs)\n";
-
     if (opt.format == Options::Format::Json) {
         bench::JsonArrayWriter w(std::cout);
-        for (const GrayRow &r : rows) {
+        for (const Row &r : rows) {
             w.beginRecord();
             w.field("schema", "ddp-bench-v1");
             w.field("bench", "ddpsim-gray");
@@ -1760,7 +1662,7 @@ runGraySweep(const Options &opt, const workload::Trace *trace)
             w.field("gray_node", static_cast<std::uint64_t>(gray));
             w.field("slow_factor", opt.slowFactor);
             w.field("slow_layer", opt.slowLayer);
-            w.field("mitigated", r.mitigated);
+            w.field("mitigated", r.point == 1);
             w.field("monotonic_violations",
                     r.result.monotonicViolations);
             w.field("stale_reads", r.result.staleReads);
@@ -1776,11 +1678,11 @@ runGraySweep(const Options &opt, const workload::Trace *trace)
                      "hedges_cancelled,shed_requests,"
                      "monotonic_violations,stale_reads,torn_served,"
                      "violation\n";
-        for (const GrayRow &r : rows) {
+        for (const Row &r : rows) {
             std::cout << core::consistencyName(r.model.consistency)
                       << ','
                       << core::persistencyName(r.model.persistency)
-                      << ',' << (r.mitigated ? 1 : 0) << ','
+                      << ',' << r.point << ','
                       << r.result.throughput / 1e6 << ','
                       << r.result.meanReadNs << ','
                       << r.result.p99ReadNs << ','
@@ -1800,8 +1702,8 @@ runGraySweep(const Options &opt, const workload::Trace *trace)
         stats::Table t({"Model", "p99R off(ns)", "p99R on(ns)",
                         "dp99", "Hedges(won)", "Shed", "Viol"});
         for (std::size_t m = 0; 2 * m + 1 < rows.size(); ++m) {
-            const GrayRow &off = rows[2 * m];
-            const GrayRow &on = rows[2 * m + 1];
+            const Row &off = rows[2 * m];
+            const Row &on = rows[2 * m + 1];
             double delta =
                 off.result.p99ReadNs > 0
                     ? (on.result.p99ReadNs - off.result.p99ReadNs) *
@@ -1818,30 +1720,115 @@ runGraySweep(const Options &opt, const workload::Trace *trace)
         }
         t.print(std::cout);
     }
+}
 
-    if (violations > 0) {
-        std::cerr << "GRAY SWEEP FAILED: " << violations << " of "
-                  << rows.size()
-                  << " runs violated their model's consistency "
-                     "guarantees\n";
+/**
+ * Fail-slow A/B experiment: run every model twice against a cluster
+ * with one gray node — same seeded workload, mitigations (hedged reads
+ * + overload shedding) off then on. The gray node keeps answering,
+ * just slower; failure detectors built for fail-stop never fire, which
+ * is exactly why the mitigation path matters.
+ *
+ * A PropertyChecker rides along on every run and the sweep exits
+ * non-zero if any run violated what its bound model guarantees: a
+ * hedge may change *which* replica answers a read, but it must never
+ * introduce non-monotonic or stale reads under a model that forbids
+ * them, and no torn value may ever be served.
+ */
+int
+runGraySweep(const Options &opt, const workload::Trace *trace)
+{
+    // Default gray node: 1 (never the coordinator of client 0's home).
+    std::uint32_t gray = opt.slowNode ? *opt.slowNode : 1;
+
+    Sweep sw;
+    sw.name = "gray sweep";
+    sw.models = selectedModels(opt);
+    sw.points = 2;
+    sw.config = [&](const core::DdpModel &m, std::size_t mitigated) {
+        Options o = opt;
+        o.slowNode = gray;
+        o.hedge = mitigated == 1;
+        o.shed = mitigated == 1;
+        return makeConfig(o, m);
+    };
+    sw.violates = readsViolate;
+    sw.violated = "their model's consistency guarantees";
+    sw.passed = "runs, zero consistency violations";
+    std::optional<std::vector<Row>> rows = runSweep(opt, sw, trace);
+    if (!rows)
         return 1;
-    }
-    std::cerr << "gray sweep passed: " << rows.size()
-              << " runs, zero consistency violations\n";
-    return 0;
+    printGray(opt, gray, *rows);
+    return verdict(sw, *rows);
 }
 
 // --------------------------------------------------------------------------
 // Offered-load (saturation-knee) sweep
 // --------------------------------------------------------------------------
 
-struct OfferedRow
+void
+printOffered(const Options &opt, const std::vector<double> &rates,
+             const std::vector<Row> &rows)
 {
-    core::DdpModel model;
-    double offeredOpsPerSec = 0.0;
-    cluster::RunResult result;
-    bool violation = false;
-};
+    if (opt.format == Options::Format::Json) {
+        bench::JsonArrayWriter w(std::cout);
+        for (const Row &r : rows) {
+            w.beginRecord();
+            w.field("schema", "ddp-bench-v1");
+            w.field("bench", "ddpsim-offered");
+            bench::jsonPerfFields(w, r.model, opt.seed, r.result);
+            w.field("offered_ops_s", rates[r.point]);
+            w.field("violation", r.violation);
+            w.endRecord();
+        }
+        w.finish();
+    } else if (opt.format == Options::Format::Csv) {
+        std::cout << "consistency,persistency,offered_ops_s,"
+                     "throughput,p99_read_ns,p99_write_ns,offered,"
+                     "served,shed,timed_out,slo_attainment,violation\n";
+        for (const Row &r : rows) {
+            std::uint64_t offered = 0, served = 0, shed = 0, timed = 0;
+            double attain = std::numeric_limits<double>::quiet_NaN();
+            for (const auto &t : r.result.tenants) {
+                offered += t.offered;
+                served += t.served;
+                shed += t.shed;
+                timed += t.timedOut;
+                attain = t.sloAttainment; // single tenant in sweeps
+            }
+            std::cout << core::consistencyName(r.model.consistency)
+                      << ','
+                      << core::persistencyName(r.model.persistency)
+                      << ',' << rates[r.point] << ','
+                      << r.result.throughput << ','
+                      << r.result.p99ReadNs << ','
+                      << r.result.p99WriteNs << ',' << offered << ','
+                      << served << ',' << shed << ',' << timed << ','
+                      << attain << ',' << (r.violation ? 1 : 0) << '\n';
+        }
+    } else {
+        // p99 vs offered load per model: read down a model's rows to
+        // spot the knee where p99 departs its flat low-load value.
+        stats::Table t({"Model", "Offered(Mops)", "Served(Mops)",
+                        "p99R(ns)", "p99W(ns)", "Shed", "TimedOut",
+                        "Viol"});
+        for (const Row &r : rows) {
+            std::uint64_t shed = 0, timed = 0;
+            for (const auto &tn : r.result.tenants) {
+                shed += tn.shed;
+                timed += tn.timedOut;
+            }
+            t.addRow({core::modelName(r.model),
+                      stats::Table::num(rates[r.point] / 1e6, 2),
+                      stats::Table::num(r.result.throughput / 1e6, 2),
+                      stats::Table::num(r.result.p99ReadNs, 0),
+                      stats::Table::num(r.result.p99WriteNs, 0),
+                      std::to_string(shed), std::to_string(timed),
+                      r.violation ? "YES" : "-"});
+        }
+        t.print(std::cout);
+    }
+}
 
 /**
  * Capacity-planning sweep: ramp open-loop offered load from LO to HI
@@ -1858,37 +1845,15 @@ struct OfferedRow
 int
 runOfferedSweep(const Options &opt, const workload::Trace *trace)
 {
-    std::vector<core::DdpModel> models;
+    std::vector<core::DdpModel> candidates;
     if (opt.allModels) {
-        for (const core::DdpModel &m : core::allModels()) {
-            if (opt.replication != 0 &&
-                (m.consistency == core::Consistency::Causal ||
-                 m.consistency == core::Consistency::Transactional)) {
-                std::cerr << "skipping " << core::modelName(m)
-                          << ": partial replication unsupported\n";
-                continue;
-            }
-            models.push_back(m);
-        }
+        candidates = core::allModels();
     } else {
         for (core::Persistency p :
              {core::Persistency::Strict, core::Persistency::Synchronous,
               core::Persistency::ReadEnforced, core::Persistency::Scope,
-              core::Persistency::Eventual}) {
-            core::DdpModel m{opt.model.consistency, p};
-            if (opt.replication != 0 &&
-                (m.consistency == core::Consistency::Causal ||
-                 m.consistency == core::Consistency::Transactional)) {
-                std::cerr << "skipping " << core::modelName(m)
-                          << ": partial replication unsupported\n";
-                continue;
-            }
-            models.push_back(m);
-        }
-    }
-    if (models.empty()) {
-        std::cerr << "no sweepable models left\n";
-        return 1;
+              core::Persistency::Eventual})
+            candidates.push_back({opt.model.consistency, p});
     }
 
     // Linear ramp LO..HI inclusive; one point when STEPS == 1.
@@ -1902,131 +1867,26 @@ runOfferedSweep(const Options &opt, const workload::Trace *trace)
                         (opt.offeredHi - opt.offeredLo) * frac);
     }
 
-    auto sweep_t0 = std::chrono::steady_clock::now();
-    sim::SweepRunner runner(opt.jobs);
-    std::size_t steps = rates.size();
-    if (runner.jobs() > 1) {
-        std::cerr << "offered sweep: " << models.size()
-                  << " model(s) x " << steps << " load points ("
-                  << runner.jobs() << " jobs)...\n";
-    }
-    std::vector<OfferedRow> rows = runner.map(
-        models.size() * steps, [&](std::size_t i) {
-            const core::DdpModel &model = models[i / steps];
-            double rate = rates[i % steps];
-            if (runner.jobs() <= 1 && i % steps == 0) {
-                std::cerr << "sweeping " << core::modelName(model)
-                          << " (" << steps << " load points)...\n";
-            }
-            Options o = opt;
-            o.openLoop = true;
-            o.arrivalRate = rate;
-            cluster::ClusterConfig cfg = makeConfig(o, model);
-            cfg.trace = trace;
-            cluster::Cluster c(cfg);
-            core::PropertyChecker checker;
-            c.setChecker(&checker);
-
-            OfferedRow row;
-            row.model = model;
-            row.offeredOpsPerSec = rate;
-            row.result = c.run();
-            core::ModelTraits traits = core::traitsOf(model);
-            row.violation =
-                (traits.monotonicReads &&
-                 row.result.monotonicViolations > 0) ||
-                (traits.nonStaleReads && row.result.staleReads > 0) ||
-                row.result.tornReadsServed > 0 ||
-                row.result.lostAckedWrites > 0;
-            return row;
-        });
-
-    std::uint64_t violations = 0;
-    std::uint64_t sweep_events = 0;
-    for (const OfferedRow &r : rows) {
-        if (r.violation)
-            ++violations;
-        sweep_events += r.result.eventsExecuted;
-    }
-    double sweep_wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - sweep_t0)
-                            .count();
-    std::cerr << "offered sweep: " << rows.size() << " runs, "
-              << sweep_events << " events in " << sweep_wall << " s ("
-              << (sweep_wall > 0 ? static_cast<double>(sweep_events) /
-                                       sweep_wall
-                                 : 0.0)
-              << " events/s, " << runner.jobs() << " jobs)\n";
-
-    if (opt.format == Options::Format::Json) {
-        bench::JsonArrayWriter w(std::cout);
-        for (const OfferedRow &r : rows) {
-            w.beginRecord();
-            w.field("schema", "ddp-bench-v1");
-            w.field("bench", "ddpsim-offered");
-            bench::jsonPerfFields(w, r.model, opt.seed, r.result);
-            w.field("offered_ops_s", r.offeredOpsPerSec);
-            w.field("violation", r.violation);
-            w.endRecord();
-        }
-        w.finish();
-    } else if (opt.format == Options::Format::Csv) {
-        std::cout << "consistency,persistency,offered_ops_s,"
-                     "throughput,p99_read_ns,p99_write_ns,offered,"
-                     "served,shed,timed_out,slo_attainment,violation\n";
-        for (const OfferedRow &r : rows) {
-            std::uint64_t offered = 0, served = 0, shed = 0, timed = 0;
-            double attain = std::numeric_limits<double>::quiet_NaN();
-            for (const auto &t : r.result.tenants) {
-                offered += t.offered;
-                served += t.served;
-                shed += t.shed;
-                timed += t.timedOut;
-                attain = t.sloAttainment; // single tenant in sweeps
-            }
-            std::cout << core::consistencyName(r.model.consistency)
-                      << ','
-                      << core::persistencyName(r.model.persistency)
-                      << ',' << r.offeredOpsPerSec << ','
-                      << r.result.throughput << ','
-                      << r.result.p99ReadNs << ','
-                      << r.result.p99WriteNs << ',' << offered << ','
-                      << served << ',' << shed << ',' << timed << ','
-                      << attain << ',' << (r.violation ? 1 : 0) << '\n';
-        }
-    } else {
-        // p99 vs offered load per model: read down a model's rows to
-        // spot the knee where p99 departs its flat low-load value.
-        stats::Table t({"Model", "Offered(Mops)", "Served(Mops)",
-                        "p99R(ns)", "p99W(ns)", "Shed", "TimedOut",
-                        "Viol"});
-        for (const OfferedRow &r : rows) {
-            std::uint64_t shed = 0, timed = 0;
-            for (const auto &tn : r.result.tenants) {
-                shed += tn.shed;
-                timed += tn.timedOut;
-            }
-            t.addRow({core::modelName(r.model),
-                      stats::Table::num(r.offeredOpsPerSec / 1e6, 2),
-                      stats::Table::num(r.result.throughput / 1e6, 2),
-                      stats::Table::num(r.result.p99ReadNs, 0),
-                      stats::Table::num(r.result.p99WriteNs, 0),
-                      std::to_string(shed), std::to_string(timed),
-                      r.violation ? "YES" : "-"});
-        }
-        t.print(std::cout);
-    }
-
-    if (violations > 0) {
-        std::cerr << "OFFERED SWEEP FAILED: " << violations << " of "
-                  << rows.size()
-                  << " runs violated their model's guarantees under "
-                     "load\n";
+    Sweep sw;
+    sw.name = "offered sweep";
+    sw.models = sweepModels(opt, candidates);
+    sw.points = rates.size();
+    sw.config = [&](const core::DdpModel &m, std::size_t point) {
+        Options o = opt;
+        o.openLoop = true;
+        o.arrivalRate = rates[point];
+        return makeConfig(o, m);
+    };
+    sw.violates = [](const Row &r) {
+        return readsViolate(r) || r.result.lostAckedWrites > 0;
+    };
+    sw.violated = "their model's guarantees under load";
+    sw.passed = "runs, zero violations";
+    std::optional<std::vector<Row>> rows = runSweep(opt, sw, trace);
+    if (!rows)
         return 1;
-    }
-    std::cerr << "offered sweep passed: " << rows.size()
-              << " runs, zero violations\n";
-    return 0;
+    printOffered(opt, rates, *rows);
+    return verdict(sw, *rows);
 }
 
 } // namespace
@@ -2057,80 +1917,5 @@ main(int argc, char **argv)
         return runGraySweep(opt, trace_ptr);
     if (opt.offeredSteps > 0)
         return runOfferedSweep(opt, trace_ptr);
-
-    // Pre-filter the model list so sweep workers never hit the
-    // replication-mismatch exit path inside runExperiment.
-    std::vector<core::DdpModel> models;
-    if (opt.allModels) {
-        for (const core::DdpModel &m : core::allModels()) {
-            if (opt.replication != 0 &&
-                (m.consistency == core::Consistency::Causal ||
-                 m.consistency == core::Consistency::Transactional)) {
-                std::cerr << "skipping " << core::modelName(m)
-                          << ": partial replication unsupported\n";
-                continue;
-            }
-            models.push_back(m);
-        }
-    } else {
-        models.push_back(opt.model);
-    }
-
-    auto sweep_t0 = std::chrono::steady_clock::now();
-    sim::SweepRunner runner(opt.jobs);
-    if (runner.jobs() > 1 && models.size() > 1) {
-        std::cerr << "running " << models.size() << " models ("
-                  << runner.jobs() << " jobs)...\n";
-    }
-    std::vector<Row> rows =
-        runner.map(models.size(), [&](std::size_t i) {
-            if (runner.jobs() <= 1 && models.size() > 1) {
-                std::cerr << "running " << core::modelName(models[i])
-                          << "...\n";
-            }
-            return runExperiment(opt, models[i], trace_ptr, i);
-        });
-    if (models.size() > 1) {
-        std::uint64_t events = 0;
-        for (const Row &r : rows)
-            events += r.result.eventsExecuted;
-        double wall =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - sweep_t0)
-                .count();
-        std::cerr << "sweep: " << rows.size() << " runs, " << events
-                  << " events in " << wall << " s ("
-                  << (wall > 0
-                          ? static_cast<double>(events) / wall
-                          : 0.0)
-                  << " events/s, " << runner.jobs() << " jobs)\n";
-    }
-    printRows(opt, rows);
-
-    if (!opt.traceOut.empty()) {
-        std::ofstream out(opt.traceOut, std::ios::binary);
-        if (!out) {
-            std::cerr << "cannot open '" << opt.traceOut
-                      << "' for writing\n";
-            return 1;
-        }
-        std::vector<std::string> fragments;
-        fragments.reserve(rows.size());
-        std::uint64_t dropped = 0;
-        for (Row &r : rows) {
-            fragments.push_back(std::move(r.traceJson));
-            dropped += r.traceDropped;
-        }
-        sim::TraceRecorder::writeFile(out, fragments);
-        if (!out) {
-            std::cerr << "write to '" << opt.traceOut << "' failed\n";
-            return 1;
-        }
-        std::cerr << "wrote timeline to " << opt.traceOut;
-        if (dropped > 0)
-            std::cerr << " (" << dropped
-                      << " events dropped at the per-run cap)";
-        std::cerr << "\n";
-    }
-    return 0;
+    return runPlain(opt, trace_ptr);
 }
