@@ -1,5 +1,6 @@
 #include "cluster/client.hh"
 
+#include <algorithm>
 #include <cassert>
 
 #include "cluster/cluster.hh"
@@ -11,10 +12,8 @@ using core::OpContext;
 using core::OpKind;
 using core::OpResult;
 
-Client::Client(Cluster &owner, core::ProtocolNode &node, std::uint32_t id,
-               std::uint32_t tenant_idx)
+Client::Client(Cluster &owner, std::uint32_t id, std::uint32_t tenant_idx)
     : owner(owner),
-      homeIdx(node.id()),
       clientId(id),
       tenant(tenant_idx),
       gen(owner.tenantSpec(tenant_idx).workload, owner.config().seed,
@@ -76,12 +75,6 @@ std::uint64_t
 Client::currentScopeId() const
 {
     return (static_cast<std::uint64_t>(clientId) + 1) << 32 | scopeSeq;
-}
-
-core::ProtocolNode &
-Client::coord()
-{
-    return owner.node((homeIdx + nodeOffset) % owner.numNodes());
 }
 
 bool
@@ -241,31 +234,6 @@ Client::sendOpenOp(workload::Op op, std::uint64_t seq,
 {
     std::uint32_t g = generation;
     auto slot = std::make_shared<OpenSlot>();
-    OpContext ctx;
-    if (timeoutsEnabled() && op.type == workload::OpType::Write) {
-        ctx.clientId = clientId;
-        ctx.clientSeq = seq;
-    }
-    OpCompletion cb = [this, g, arrival_at, slot,
-                       key = op.key](const OpResult &r) {
-        if (g != generation || slot->done)
-            return;
-        slot->done = true;
-        if (slot->timer != sim::kNoTimer) {
-            owner.queue().cancelTimer(slot->timer);
-            slot->timer = sim::kNoTimer;
-        }
-        owner.noteServerResponse(r.node, r.latency());
-        // Arrival-anchored latency; the pre-issue wait (slot queueing,
-        // failover gaps) is the ClientQueue phase.
-        sim::Tick lat = r.completedAt - arrival_at;
-        sim::PhaseAccum acc = r.phases;
-        if (sim::Tick hop = owner.routerHop(); hop > 0)
-            acc.add(sim::Phase::Router, hop);
-        acc.add(sim::Phase::ClientQueue, lat - acc.sum());
-        owner.recordOp(r.kind, lat, acc, key);
-        completeCycle(true, lat);
-    };
     if (timeoutsEnabled()) {
         slot->timer = owner.queue().scheduleTimerIn(
             owner.config().clientRequestTimeout,
@@ -278,36 +246,43 @@ Client::sendOpenOp(workload::Op op, std::uint64_t seq,
                 sendOpenOp(op, seq, arrival_at, rotation + 1);
             });
     }
-    routed([this, g, op, ctx, rotation, slot,
-            cb = std::move(cb)]() mutable {
+    routed([this, g, op, seq, arrival_at, rotation, slot] {
         if (g != generation || slot->done)
             return;
-        if (owner.sharded() && op.type == workload::OpType::Write) {
-            // See dispatchPlainOp: the completed version chases the
-            // key if a migration moved it mid-flight.
-            shard::TeamId served = owner.teamForKey(op.key);
-            cb = [this, served,
-                  inner = std::move(cb)](const OpResult &r) {
+        OpContext ctx;
+        if (timeoutsEnabled() && op.type == workload::OpType::Write) {
+            ctx.clientId = clientId;
+            ctx.clientSeq = seq;
+        }
+        // See dispatchPlainOp: the completed version chases the key if
+        // a migration moved it mid-flight.
+        shard::TeamId served = owner.teamForKey(op.key);
+        OpCompletion cb = [this, g, served, arrival_at, slot,
+                           key = op.key](const OpResult &r) {
+            if (r.kind == OpKind::Write)
                 owner.noteShardWrite(r.key, served, r.version);
-                inner(r);
-            };
-        }
-        if (owner.sharded() && op.type == workload::OpType::Scan) {
-            sendShardedScan(op.key, op.scanLen, ctx,
-                            clientId + nodeOffset + rotation,
-                            std::move(cb));
-            return;
-        }
-        core::ProtocolNode &target =
-            owner.nodeForKey(op.key, clientId + nodeOffset + rotation);
-        if (op.type == workload::OpType::Read)
-            // No hedging on this path: hedges are a closed-loop serial-
-            // engine feature (their state is per-client, not per-slot).
-            target.clientRead(op.key, ctx, std::move(cb));
-        else if (op.type == workload::OpType::Scan)
-            target.clientScan(op.key, op.scanLen, ctx, std::move(cb));
-        else
-            target.clientWrite(op.key, ctx, std::move(cb));
+            if (g != generation || slot->done)
+                return;
+            slot->done = true;
+            if (slot->timer != sim::kNoTimer) {
+                owner.queue().cancelTimer(slot->timer);
+                slot->timer = sim::kNoTimer;
+            }
+            owner.noteServerResponse(r.node, r.latency());
+            // Arrival-anchored latency; the pre-issue wait (slot
+            // queueing, failover gaps) is the ClientQueue phase.
+            sim::Tick lat = r.completedAt - arrival_at;
+            sim::PhaseAccum acc = r.phases;
+            if (sim::Tick hop = owner.routerHop(); hop > 0)
+                acc.add(sim::Phase::Router, hop);
+            acc.add(sim::Phase::ClientQueue, lat - acc.sum());
+            owner.recordOp(r.kind, lat, acc, key);
+            completeCycle(true, lat);
+        };
+        // No hedging on this path: hedges are a closed-loop serial-
+        // engine feature (their state is per-client, not per-slot).
+        dispatchOp(op, ctx, clientId + nodeOffset + rotation,
+                   std::move(cb));
     });
 }
 
@@ -340,24 +315,68 @@ Client::churnTick(std::uint32_t gen_token)
 }
 
 // --------------------------------------------------------------------------
-// Sharded routing
+// Routing
 // --------------------------------------------------------------------------
 
+template <typename Fn>
 void
-Client::routed(std::function<void()> fn)
+Client::routed(Fn &&fn)
 {
     sim::Tick hop = owner.routerHop();
     if (hop == 0) {
-        // Legacy topology: no router in the path, dispatch inline so
-        // single-group runs stay byte-identical.
         fn();
         return;
     }
     std::uint32_t g = generation;
-    owner.queue().scheduleIn(hop, [this, g, fn = std::move(fn)] {
-        if (g == generation)
-            fn();
-    });
+    owner.queue().scheduleIn(
+        hop, [this, g, fn = std::forward<Fn>(fn)]() mutable {
+            if (g == generation)
+                fn();
+        });
+}
+
+core::ProtocolNode *
+Client::dispatchOp(const workload::Op &op, const OpContext &ctx,
+                   std::uint32_t pick, OpCompletion cb)
+{
+    if (op.type == workload::OpType::Scan) {
+        sendScan(op.key, op.scanLen, ctx, pick, std::move(cb));
+        return nullptr;
+    }
+    // Under partial replication the client routes each request to a
+    // replica of the key (smart-client partition awareness).
+    core::ProtocolNode &target = owner.nodeForKey(op.key, pick);
+    if (op.type == workload::OpType::Read)
+        target.clientRead(op.key, ctx, std::move(cb));
+    else
+        target.clientWrite(op.key, ctx, std::move(cb));
+    return &target;
+}
+
+void
+Client::sendScan(net::KeyId key, std::uint32_t len, const OpContext &ctx,
+                 std::uint32_t pick, OpCompletion cb)
+{
+    owner.scanSlices(key, len, scanFan);
+    assert(!scanFan.empty());
+    if (scanFan.size() == 1) {
+        owner.nodeForKey(key, pick).clientScan(key, len, ctx,
+                                               std::move(cb));
+        return;
+    }
+    auto remaining = std::make_shared<std::size_t>(scanFan.size());
+    auto shared_cb = std::make_shared<OpCompletion>(std::move(cb));
+    for (const shard::RangeSlice &s : scanFan) {
+        owner.nodeForKey(s.lo, pick).clientScan(
+            s.lo, static_cast<std::uint32_t>(s.hi - s.lo), ctx,
+            [remaining, shared_cb](const OpResult &r) {
+                // The scan completes when its slowest slice does; that
+                // sub-result is forwarded (the caller's residual-phase
+                // accounting absorbs the join wait).
+                if (--*remaining == 0)
+                    (*shared_cb)(r);
+            });
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -472,6 +491,18 @@ Client::sendPlainOp()
 {
     std::uint64_t token = ++attemptToken;
     std::uint32_t g = generation;
+    armRequestTimer(token);
+    attemptIssuedAt = owner.now();
+    routed([this, g, token] {
+        if (g == generation && token == attemptToken)
+            dispatchPlainOp(token);
+    });
+}
+
+void
+Client::dispatchPlainOp(std::uint64_t token)
+{
+    std::uint32_t g = generation;
     OpContext ctx;
     ctx.scopeId = scoped() ? currentScopeId() : 0;
     if (timeoutsEnabled() && pendingOp.type == workload::OpType::Write) {
@@ -481,7 +512,15 @@ Client::sendPlainOp()
         ctx.clientId = clientId;
         ctx.clientSeq = pendingSeq;
     }
-    OpCompletion cb = [this, g, token](const OpResult &r) {
+    // The serving team is resolved here, at dispatch; if a migration
+    // flips ownership while a write is in flight, the completed
+    // version must chase the key to its new owner. noteShardWrite runs
+    // before the staleness guards — a write orphaned by a client
+    // timeout still happened at the server.
+    shard::TeamId served = owner.teamForKey(pendingOp.key);
+    OpCompletion cb = [this, g, served, token](const OpResult &r) {
+        if (r.kind == OpKind::Write)
+            owner.noteShardWrite(r.key, served, r.version);
         if (g != generation || token != attemptToken)
             return;
         cancelRequestTimer();
@@ -512,72 +551,12 @@ Client::sendPlainOp()
         ++opsSinceScopePersist;
         completeCycle(true, lat);
     };
-    armRequestTimer(token);
-    attemptIssuedAt = owner.now();
-    routed([this, g, token, ctx, cb = std::move(cb)]() mutable {
-        if (g != generation || token != attemptToken)
-            return;
-        dispatchPlainOp(ctx, std::move(cb));
-    });
-}
-
-void
-Client::dispatchPlainOp(const OpContext &ctx, OpCompletion cb)
-{
-    if (owner.sharded() && pendingOp.type == workload::OpType::Write) {
-        // The serving team is resolved here, at dispatch; if a
-        // migration flips ownership while the write is in flight, the
-        // completed version must chase the key to its new owner.
-        // noteShardWrite runs before the staleness guards — a write
-        // orphaned by a client timeout still happened at the server.
-        shard::TeamId served = owner.teamForKey(pendingOp.key);
-        cb = [this, served, inner = std::move(cb)](const OpResult &r) {
-            owner.noteShardWrite(r.key, served, r.version);
-            inner(r);
-        };
-    }
-    if (owner.sharded() && pendingOp.type == workload::OpType::Scan) {
-        sendShardedScan(pendingOp.key, pendingOp.scanLen, ctx,
-                        clientId + nodeOffset, std::move(cb));
-        return;
-    }
-    // Under partial replication the client routes each request to a
-    // replica of the key (smart-client partition awareness).
-    core::ProtocolNode &target =
-        owner.nodeForKey(pendingOp.key, clientId + nodeOffset);
-    if (pendingOp.type == workload::OpType::Read) {
-        target.clientRead(pendingOp.key, ctx, std::move(cb));
-        maybeArmHedge(attemptToken, target.id());
-    } else if (pendingOp.type == workload::OpType::Scan) {
-        // Scans are never hedged: a range walk is too expensive to
-        // duplicate speculatively for a tail win.
-        target.clientScan(pendingOp.key, pendingOp.scanLen, ctx,
-                          std::move(cb));
-    } else {
-        target.clientWrite(pendingOp.key, ctx, std::move(cb));
-    }
-}
-
-void
-Client::sendShardedScan(net::KeyId key, std::uint32_t len,
-                        const OpContext &ctx, std::uint32_t pick,
-                        OpCompletion cb)
-{
-    std::vector<shard::RangeSlice> slices = owner.scanSlices(key, len);
-    assert(!slices.empty());
-    auto remaining = std::make_shared<std::size_t>(slices.size());
-    auto shared_cb = std::make_shared<OpCompletion>(std::move(cb));
-    for (const shard::RangeSlice &s : slices) {
-        owner.nodeInTeam(s.team, pick).clientScan(
-            s.lo, static_cast<std::uint32_t>(s.hi - s.lo), ctx,
-            [remaining, shared_cb](const OpResult &r) {
-                // The scan completes when its slowest slice does; that
-                // sub-result is forwarded (the caller's residual-phase
-                // accounting absorbs the join wait).
-                if (--*remaining == 0)
-                    (*shared_cb)(r);
-            });
-    }
+    // Scans are never hedged: a range walk is too expensive to
+    // duplicate speculatively for a tail win.
+    core::ProtocolNode *target =
+        dispatchOp(pendingOp, ctx, clientId + nodeOffset, std::move(cb));
+    if (pendingOp.type == workload::OpType::Read)
+        maybeArmHedge(token, target->id());
 }
 
 // --------------------------------------------------------------------------
@@ -698,35 +677,6 @@ Client::issueScopePersist()
 void
 Client::sendScopePersist()
 {
-    if (owner.sharded()) {
-        sendShardedScopePersist();
-        return;
-    }
-    std::uint64_t token = ++attemptToken;
-    std::uint32_t g = generation;
-    armRequestTimer(token);
-    coord().clientPersistScope(currentScopeId(),
-                               [this, g, token](const OpResult &r) {
-        if (g != generation || token != attemptToken)
-            return;
-        cancelRequestTimer();
-        phase = Phase::Idle;
-        owner.recordOp(r.kind, r.latency(), r.phases);
-        opsSinceScopePersist = 0;
-        ++scopeSeq;
-        if (openLoop()) {
-            // The scope flush is an intra-cycle step: the arrival that
-            // triggered it still owes its own operation.
-            issueNow();
-        } else {
-            issueNext();
-        }
-    });
-}
-
-void
-Client::sendShardedScopePersist()
-{
     // The scope's writes were routed per key, so any team may hold
     // some of them: flush the scope everywhere and complete when the
     // last team acknowledges. One token and one timer guard the whole
@@ -737,16 +687,13 @@ Client::sendShardedScopePersist()
     routed([this, g, token] {
         if (g != generation || token != attemptToken)
             return;
-        auto remaining =
-            std::make_shared<std::uint32_t>(owner.numTeams());
+        fanPending = owner.numTeams();
         for (std::uint32_t t = 0; t < owner.numTeams(); ++t) {
             owner.nodeInTeam(t, clientId + nodeOffset)
                 .clientPersistScope(
-                    currentScopeId(),
-                    [this, g, token, remaining](const OpResult &r) {
-                        if (g != generation || token != attemptToken)
-                            return;
-                        if (--*remaining > 0)
+                    currentScopeId(), [this, g, token](const OpResult &r) {
+                        if (g != generation || token != attemptToken ||
+                            --fanPending > 0)
                             return;
                         cancelRequestTimer();
                         phase = Phase::Idle;
@@ -756,6 +703,9 @@ Client::sendShardedScopePersist()
                         owner.recordOp(r.kind, r.latency() + hop, acc);
                         opsSinceScopePersist = 0;
                         ++scopeSeq;
+                        // The scope flush is an intra-cycle step under
+                        // open loop: the arrival that triggered it
+                        // still owes its own operation.
                         if (openLoop())
                             issueNow();
                         else
@@ -768,6 +718,18 @@ Client::sendShardedScopePersist()
 // --------------------------------------------------------------------------
 // Transactions
 // --------------------------------------------------------------------------
+//
+// Batches are client-driven: an attempt begins with InitXact at op 0's
+// team, enrolls lazily at every other team a read or write touches,
+// issues each op at its key's owner team, and commits with an EndX
+// fan — participants[1..] first, the coordinator (participants[0])
+// last, so the coordinator's commit is the transaction's visibility
+// and durability point. Any abort tears the attempt down at every
+// enrolled team before the usual backoff + retry. Conflict detection
+// stays per team (each team's engine sees only its slice of the
+// batch); the ConflictRetry residual in commitRecorded absorbs the
+// enrollment and fan-out overhead. On a one-team cluster this is the
+// paper's single replica group: InitXact, the ops, one EndX.
 
 void
 Client::beginXactBatch()
@@ -788,33 +750,23 @@ Client::beginXactBatch()
 void
 Client::startXactAttempt()
 {
-    if (owner.sharded()) {
-        startShardedXactAttempt();
-        return;
-    }
     ++xactAttempts;
     ++xactSeq;
     curXactId = (static_cast<std::uint64_t>(clientId) + 1) << 32 | xactSeq;
-    std::uint64_t token = ++attemptToken;
-    std::uint32_t g = generation;
-    armRequestTimer(token);
-    coord().clientInitXact(curXactId, [this, g, token](const OpResult &r) {
-        if (g != generation || token != attemptToken)
-            return;
-        cancelRequestTimer();
-        if (r.aborted) {
-            retryXactAfterBackoff();
-            return;
-        }
-        issueXactOp(0);
-    });
+    xactRotation = nodeOffset;
+    xactParticipants.clear();
+    xactOpTeam.assign(xactOps.size(), 0);
+    xactOpVersion.assign(xactOps.size(), net::Version{});
+    // The attempt begins at op 0's team, before op 0 is stamped: the
+    // begin exchange is the transaction's, not op 0's latency.
+    enrollXact(xactOps.empty() ? 0 : owner.teamForKey(xactOps[0].key), 0);
 }
 
 void
 Client::issueXactOp(std::size_t index)
 {
     if (index >= xactOps.size()) {
-        finishXactAttempt();
+        commitXact(0);
         return;
     }
     const workload::Op &op = xactOps[index];
@@ -822,66 +774,157 @@ Client::issueXactOp(std::size_t index)
         xactFirstIssue[index] = owner.now();
         ++issued;
     }
+    std::uint32_t team = owner.teamForKey(op.key);
+    // Scans ride outside conflict detection (see PROTOCOLS.md, "Scan
+    // visibility"), so they never enroll a team — the fan-out may
+    // touch teams that never join the transaction.
+    if (op.type != workload::OpType::Scan &&
+        std::find(xactParticipants.begin(), xactParticipants.end(),
+                  team) == xactParticipants.end()) {
+        enrollXact(team, index);
+        return;
+    }
+    dispatchXactOp(index, team);
+}
+
+void
+Client::enrollXact(std::uint32_t team, std::size_t index)
+{
+    std::uint64_t token = ++attemptToken;
+    std::uint32_t g = generation;
+    armRequestTimer(token);
+    routed([this, g, token, team, index] {
+        if (g != generation || token != attemptToken)
+            return;
+        owner.nodeInTeam(team, clientId + xactRotation)
+            .clientInitXact(curXactId, [this, g, token, team,
+                                        index](const OpResult &r) {
+                if (g != generation || token != attemptToken)
+                    return;
+                cancelRequestTimer();
+                if (r.aborted) {
+                    abortXactThenRetry();
+                    return;
+                }
+                xactParticipants.push_back(team);
+                issueXactOp(index);
+            });
+    });
+}
+
+void
+Client::dispatchXactOp(std::size_t index, std::uint32_t team)
+{
     OpContext ctx;
     ctx.xactId = curXactId;
     ctx.scopeId = scoped() ? currentScopeId() : 0;
     std::uint64_t token = ++attemptToken;
     std::uint32_t g = generation;
-    OpCompletion cb = [this, g, token, index](const OpResult &r) {
+    OpCompletion cb = [this, g, token, index, team](const OpResult &r) {
         if (g != generation || token != attemptToken)
             return;
         cancelRequestTimer();
         if (r.aborted) {
-            std::uint64_t abort_token = ++attemptToken;
-            armRequestTimer(abort_token);
-            coord().clientEndXact(curXactId, false,
-                                  [this, g, abort_token](const OpResult &) {
-                if (g != generation || abort_token != attemptToken)
-                    return;
-                cancelRequestTimer();
-                retryXactAfterBackoff();
-            });
+            abortXactThenRetry();
             return;
         }
         xactOpDone[index] = r.completedAt;
         xactOpPhases[index] = r.phases;
+        xactOpPhases[index].add(sim::Phase::Router, owner.routerHop());
+        xactOpTeam[index] = team;
+        xactOpVersion[index] = r.version;
         issueXactOp(index + 1);
     };
     armRequestTimer(token);
-    core::ProtocolNode &target = coord();
-    if (op.type == workload::OpType::Read)
-        target.clientRead(op.key, ctx, std::move(cb));
-    else if (op.type == workload::OpType::Scan)
-        // Scans ride inside the batch for pacing but are not part of
-        // the transaction's read/write set (see PROTOCOLS.md, "Scan
-        // visibility"): the engine serves them outside conflict
-        // detection.
-        target.clientScan(op.key, op.scanLen, ctx, std::move(cb));
-    else
-        target.clientWrite(op.key, ctx, std::move(cb));
+    routed([this, g, token, index, team, ctx,
+            cb = std::move(cb)]() mutable {
+        if (g != generation || token != attemptToken)
+            return;
+        const workload::Op &op = xactOps[index];
+        std::uint32_t pick = clientId + xactRotation;
+        if (op.type == workload::OpType::Scan)
+            sendScan(op.key, op.scanLen, ctx, pick, std::move(cb));
+        else if (op.type == workload::OpType::Read)
+            owner.nodeInTeam(team, pick).clientRead(op.key, ctx,
+                                                    std::move(cb));
+        else
+            owner.nodeInTeam(team, pick).clientWrite(op.key, ctx,
+                                                     std::move(cb));
+    });
 }
 
 void
-Client::finishXactAttempt()
+Client::commitXact(std::size_t cursor)
 {
+    bool last = cursor + 1 >= xactParticipants.size();
+    std::uint32_t team =
+        last ? xactParticipants[0] : xactParticipants[cursor + 1];
     std::uint64_t token = ++attemptToken;
     std::uint32_t g = generation;
     armRequestTimer(token);
-    coord().clientEndXact(curXactId, true,
-                          [this, g, token](const OpResult &r) {
+    routed([this, g, token, team, cursor, last] {
         if (g != generation || token != attemptToken)
             return;
-        cancelRequestTimer();
-        if (r.aborted) {
-            retryXactAfterBackoff();
+        owner.nodeInTeam(team, clientId + xactRotation)
+            .clientEndXact(curXactId, true, [this, g, token, team, cursor,
+                                             last](const OpResult &r) {
+                if (g != generation || token != attemptToken)
+                    return;
+                cancelRequestTimer();
+                if (r.aborted) {
+                    // The refusing team already dropped its record.
+                    std::erase(xactParticipants, team);
+                    abortXactThenRetry();
+                    return;
+                }
+                if (!last) {
+                    commitXact(cursor + 1);
+                    return;
+                }
+                phase = Phase::Idle;
+                xactRetries = 0;
+                commitRecorded(r.completedAt);
+                // The batch's writes are now visible; if a migration
+                // moved any of their keys since dispatch, the committed
+                // versions must chase them (see noteShardWrite).
+                for (std::size_t i = 0; i < xactOps.size(); ++i)
+                    if (xactOps[i].type == workload::OpType::Write)
+                        owner.noteShardWrite(xactOps[i].key,
+                                             xactOpTeam[i],
+                                             xactOpVersion[i]);
+                opsSinceScopePersist +=
+                    static_cast<std::uint32_t>(xactOps.size());
+                completeCycle(true, r.completedAt - xactArrivalAt);
+            });
+    });
+}
+
+void
+Client::abortXactThenRetry()
+{
+    if (xactParticipants.empty()) {
+        retryXactAfterBackoff();
+        return;
+    }
+    // Tear the attempt down everywhere before retrying: a leftover
+    // active record would hold its keys' conflict entries.
+    std::uint64_t token = ++attemptToken;
+    std::uint32_t g = generation;
+    armRequestTimer(token);
+    routed([this, g, token] {
+        if (g != generation || token != attemptToken)
             return;
-        }
-        phase = Phase::Idle;
-        xactRetries = 0;
-        commitRecorded(r.completedAt);
-        opsSinceScopePersist +=
-            static_cast<std::uint32_t>(xactOps.size());
-        completeCycle(true, r.completedAt - xactArrivalAt);
+        fanPending = static_cast<std::uint32_t>(xactParticipants.size());
+        for (std::uint32_t team : xactParticipants)
+            owner.nodeInTeam(team, clientId + xactRotation)
+                .clientEndXact(curXactId, false,
+                               [this, g, token](const OpResult &) {
+                    if (g != generation || token != attemptToken ||
+                        --fanPending > 0)
+                        return;
+                    cancelRequestTimer();
+                    retryXactAfterBackoff();
+                });
     });
 }
 
@@ -920,220 +963,6 @@ Client::commitRecorded(sim::Tick end_completed)
         }
         owner.recordOp(kind, lat, acc, xactOps[i].key);
     }
-}
-
-// --------------------------------------------------------------------------
-// Sharded transactions
-// --------------------------------------------------------------------------
-//
-// Cross-shard batches are client-driven: the client enrolls lazily at
-// each team the batch touches (InitXact on first contact), issues each
-// op at its key's owner team, and commits with an EndX fan —
-// participants[1..] first, the coordinator (participants[0], the first
-// team touched) last, so the coordinator's commit is the transaction's
-// visibility and durability point. Any abort tears the attempt down at
-// every enrolled team before the usual backoff + retry. Conflict
-// detection stays per team (each team's engine sees only its slice of
-// the batch); the ConflictRetry residual in commitRecorded absorbs the
-// enrollment and fan-out overhead.
-
-void
-Client::startShardedXactAttempt()
-{
-    ++xactAttempts;
-    ++xactSeq;
-    curXactId = (static_cast<std::uint64_t>(clientId) + 1) << 32 | xactSeq;
-    // Pin the failover rotation for the attempt: every message of one
-    // attempt must pick the same member within each team.
-    xactRotation = nodeOffset;
-    xactParticipants.clear();
-    xactOpTeam.assign(xactOps.size(), 0);
-    xactOpVersion.assign(xactOps.size(), net::Version{});
-    phase = Phase::Xact;
-    issueShardedXactOp(0);
-}
-
-void
-Client::shardEnroll(std::uint32_t team, std::function<void()> then)
-{
-    for (std::uint32_t p : xactParticipants)
-        if (p == team) {
-            then();
-            return;
-        }
-    std::uint64_t token = ++attemptToken;
-    std::uint32_t g = generation;
-    armRequestTimer(token);
-    routed([this, g, token, team, then = std::move(then)] {
-        if (g != generation || token != attemptToken)
-            return;
-        owner.nodeInTeam(team, clientId + xactRotation)
-            .clientInitXact(curXactId, [this, g, token, team,
-                                        then](const OpResult &r) {
-                if (g != generation || token != attemptToken)
-                    return;
-                cancelRequestTimer();
-                if (r.aborted) {
-                    shardXactAbortThenRetry();
-                    return;
-                }
-                xactParticipants.push_back(team);
-                then();
-            });
-    });
-}
-
-void
-Client::issueShardedXactOp(std::size_t index)
-{
-    if (index >= xactOps.size()) {
-        finishShardedXact(0);
-        return;
-    }
-    const workload::Op &op = xactOps[index];
-    if (xactFirstIssue[index] == 0) {
-        xactFirstIssue[index] = owner.now();
-        ++issued;
-    }
-    std::uint32_t team = owner.teamForKey(op.key);
-    if (op.type == workload::OpType::Scan) {
-        // Scans ride outside conflict detection (see PROTOCOLS.md,
-        // "Scan visibility"), so they skip enrollment entirely — the
-        // fan-out may touch teams that never join the transaction.
-        dispatchShardedXactOp(index, team);
-        return;
-    }
-    shardEnroll(team,
-                [this, index, team] { dispatchShardedXactOp(index, team); });
-}
-
-void
-Client::dispatchShardedXactOp(std::size_t index, std::uint32_t team)
-{
-    OpContext ctx;
-    ctx.xactId = curXactId;
-    ctx.scopeId = scoped() ? currentScopeId() : 0;
-    // The op token is created here, after any enrollment: InitXact
-    // bumped the attempt token for its own exchange.
-    std::uint64_t token = ++attemptToken;
-    std::uint32_t g = generation;
-    OpCompletion cb = [this, g, token, index, team](const OpResult &r) {
-        if (g != generation || token != attemptToken)
-            return;
-        cancelRequestTimer();
-        if (r.aborted) {
-            shardXactAbortThenRetry();
-            return;
-        }
-        xactOpDone[index] = r.completedAt;
-        xactOpPhases[index] = r.phases;
-        xactOpPhases[index].add(sim::Phase::Router, owner.routerHop());
-        xactOpTeam[index] = team;
-        xactOpVersion[index] = r.version;
-        issueShardedXactOp(index + 1);
-    };
-    armRequestTimer(token);
-    routed([this, g, token, index, team, ctx,
-            cb = std::move(cb)]() mutable {
-        if (g != generation || token != attemptToken)
-            return;
-        const workload::Op &op = xactOps[index];
-        if (op.type == workload::OpType::Scan)
-            sendShardedScan(op.key, op.scanLen, ctx,
-                            clientId + xactRotation, std::move(cb));
-        else if (op.type == workload::OpType::Read)
-            owner.nodeInTeam(team, clientId + xactRotation)
-                .clientRead(op.key, ctx, std::move(cb));
-        else
-            owner.nodeInTeam(team, clientId + xactRotation)
-                .clientWrite(op.key, ctx, std::move(cb));
-    });
-}
-
-void
-Client::finishShardedXact(std::size_t cursor)
-{
-    if (xactParticipants.empty()) {
-        // Scan-only batch: nothing enrolled anywhere, commit locally.
-        phase = Phase::Idle;
-        xactRetries = 0;
-        commitRecorded(owner.now());
-        opsSinceScopePersist +=
-            static_cast<std::uint32_t>(xactOps.size());
-        completeCycle(true, owner.now() - xactArrivalAt);
-        return;
-    }
-    bool last = cursor + 1 >= xactParticipants.size();
-    std::uint32_t team =
-        last ? xactParticipants[0] : xactParticipants[cursor + 1];
-    std::uint64_t token = ++attemptToken;
-    std::uint32_t g = generation;
-    armRequestTimer(token);
-    routed([this, g, token, team, cursor, last] {
-        if (g != generation || token != attemptToken)
-            return;
-        owner.nodeInTeam(team, clientId + xactRotation)
-            .clientEndXact(curXactId, true, [this, g, token, cursor,
-                                             last](const OpResult &r) {
-                if (g != generation || token != attemptToken)
-                    return;
-                cancelRequestTimer();
-                if (r.aborted) {
-                    shardXactAbortThenRetry();
-                    return;
-                }
-                if (!last) {
-                    finishShardedXact(cursor + 1);
-                    return;
-                }
-                phase = Phase::Idle;
-                xactRetries = 0;
-                commitRecorded(r.completedAt);
-                // The batch's writes are now visible; if a migration
-                // moved any of their keys since dispatch, the committed
-                // versions must chase them (see noteShardWrite).
-                for (std::size_t i = 0; i < xactOps.size(); ++i)
-                    if (xactOps[i].type == workload::OpType::Write)
-                        owner.noteShardWrite(xactOps[i].key,
-                                             xactOpTeam[i],
-                                             xactOpVersion[i]);
-                opsSinceScopePersist +=
-                    static_cast<std::uint32_t>(xactOps.size());
-                completeCycle(true, r.completedAt - xactArrivalAt);
-            });
-    });
-}
-
-void
-Client::shardXactAbortThenRetry()
-{
-    if (xactParticipants.empty()) {
-        retryXactAfterBackoff();
-        return;
-    }
-    // Tear the attempt down everywhere before retrying: a leftover
-    // active record would hold its keys' conflict entries.
-    std::uint64_t token = ++attemptToken;
-    std::uint32_t g = generation;
-    armRequestTimer(token);
-    auto remaining =
-        std::make_shared<std::size_t>(xactParticipants.size());
-    routed([this, g, token, remaining] {
-        if (g != generation || token != attemptToken)
-            return;
-        for (std::uint32_t team : xactParticipants)
-            owner.nodeInTeam(team, clientId + xactRotation)
-                .clientEndXact(curXactId, false,
-                               [this, g, token,
-                                remaining](const OpResult &) {
-                    if (g != generation || token != attemptToken)
-                        return;
-                    if (--*remaining > 0)
-                        return;
-                    cancelRequestTimer();
-                    retryXactAfterBackoff();
-                });
-    });
 }
 
 void

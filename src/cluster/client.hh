@@ -35,13 +35,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
-#include <optional>
-
 #include "ddp/protocol_node.hh"
+#include "shard/keymap.hh"
 #include "sim/random.hh"
 #include "workload/arrival.hh"
 #include "workload/trace.hh"
@@ -55,8 +54,7 @@ class Cluster;
 class Client
 {
   public:
-    Client(Cluster &owner, core::ProtocolNode &node, std::uint32_t id,
-           std::uint32_t tenant_idx = 0);
+    Client(Cluster &owner, std::uint32_t id, std::uint32_t tenant_idx = 0);
 
     /** Begin issuing requests (schedules the first at the current tick). */
     void start();
@@ -123,9 +121,6 @@ class Client
     bool timeoutsEnabled() const;
     std::uint64_t currentScopeId() const;
 
-    /** Coordinator after the current failover rotation. */
-    core::ProtocolNode &coord();
-
     /**
      * Arm the request timer for the attempt identified by @p token;
      * cancels any previous timer. No-op when timeouts are disabled.
@@ -142,45 +137,56 @@ class Client
     void issueScopePersist();
     void sendScopePersist();
 
-    // --- Sharded routing (owner.sharded()) -------------------------------
+    // --- Routing ------------------------------------------------------------
     /**
      * Run @p fn after the router hop (charged to the Router phase by
-     * the completion paths); immediate when the hop is zero (legacy
-     * topology). The deferred call is generation-guarded.
+     * the completion paths); inline when the hop is zero. The deferred
+     * call is generation-guarded.
      */
-    void routed(std::function<void()> fn);
-    /** Hand the pending plain op to its serving node(s): sharded scans
-     *  fan out per team, sharded writes learn their serving team. */
-    void dispatchPlainOp(const core::OpContext &ctx,
-                         core::OpCompletion cb);
+    template <typename Fn> void routed(Fn &&fn);
+    /** Hand the pending plain op of attempt @p token to its serving
+     *  node(s) and arm a hedge if it is a read. */
+    void dispatchPlainOp(std::uint64_t token);
     /**
-     * Fan a scan over every team whose ranges overlap [key, key+len):
-     * each team member walks its slice; the last sub-result to land is
-     * forwarded to @p cb (the per-op residual phases absorb the join).
+     * Send a read, write or scan to its serving node(s): the member
+     * @p pick selects in the key's team. Returns the node a read or
+     * write went to (nullptr for a scan).
      */
-    void sendShardedScan(net::KeyId key, std::uint32_t len,
-                         const core::OpContext &ctx, std::uint32_t pick,
-                         core::OpCompletion cb);
-    /** Scope persist fanned to every team (a scope's writes may live
-     *  anywhere after routing); completes when all teams flushed. */
-    void sendShardedScopePersist();
+    core::ProtocolNode *dispatchOp(const workload::Op &op,
+                                   const core::OpContext &ctx,
+                                   std::uint32_t pick,
+                                   core::OpCompletion cb);
+    /**
+     * Scan [key, key+len) at every team whose ranges overlap it: each
+     * team member walks its slice; the last sub-result to land is
+     * forwarded to @p cb (the per-op residual phases absorb the join).
+     * A scan inside one range goes straight to its node.
+     */
+    void sendScan(net::KeyId key, std::uint32_t len,
+                  const core::OpContext &ctx, std::uint32_t pick,
+                  core::OpCompletion cb);
 
-    // --- Sharded transactions (client-driven, lazy enrollment) -----------
-    void startShardedXactAttempt();
-    /** InitXact at @p team once per attempt, then run @p then. */
-    void shardEnroll(std::uint32_t team, std::function<void()> then);
-    void issueShardedXactOp(std::size_t index);
+    // --- Transactions (client-driven, per-team enrollment) ---------------
+    void beginXactBatch();
+    /** Begin an attempt: InitXact at op 0's team, then issue op 0. */
+    void startXactAttempt();
+    /** Stamp op @p index; enroll its team first if it needs one. */
+    void issueXactOp(std::size_t index);
+    /** InitXact at @p team, then resume with op @p index. */
+    void enrollXact(std::uint32_t team, std::size_t index);
     /** Issue op @p index at @p team (token created here, *after* any
      *  enrollment — enrollment bumps the attempt token). */
-    void dispatchShardedXactOp(std::size_t index, std::uint32_t team);
+    void dispatchXactOp(std::size_t index, std::uint32_t team);
     /**
      * Commit fan-out: participants[1..] serially, the coordinator
-     * (participants[0], the first team touched) last — its EndX
-     * completion is the transaction's visibility/durability point.
+     * (participants[0], op 0's team) last — its EndX completion is the
+     * transaction's visibility/durability point.
      */
-    void finishShardedXact(std::size_t cursor);
+    void commitXact(std::size_t cursor);
     /** Abort at every enrolled team, then back off and retry. */
-    void shardXactAbortThenRetry();
+    void abortXactThenRetry();
+    void retryXactAfterBackoff();
+    void commitRecorded(sim::Tick end_completed);
 
     // Hedged reads (plain reads only; the attempt token ties primary
     // and hedge together — whichever answers first bumps it, orphaning
@@ -193,13 +199,6 @@ class Client
     void cancelHedgeTimer();
     /** Token-bucket refill by timestamp arithmetic (no timers). */
     void refillHedgeTokens();
-
-    void beginXactBatch();
-    void startXactAttempt();
-    void issueXactOp(std::size_t index);
-    void finishXactAttempt();
-    void retryXactAfterBackoff();
-    void commitRecorded(sim::Tick end_completed);
 
     /** Next operation: from the replay trace or the generator. */
     workload::Op nextOp();
@@ -214,7 +213,6 @@ class Client
     };
 
     Cluster &owner;
-    std::uint32_t homeIdx;
     std::uint32_t clientId;
     std::uint32_t tenant;
     workload::OpGenerator gen;
@@ -264,6 +262,13 @@ class Client
     std::uint64_t scopeSeq = 1;
     std::uint32_t opsSinceScopePersist = 0;
 
+    /** Replies the current per-team fan (scope persist, transaction
+     *  abort) still waits for; the attempt token orphans stale ones. */
+    std::uint32_t fanPending = 0;
+    /** Slices of the scan being dispatched (reused, never reallocated
+     *  once grown). */
+    std::vector<shard::RangeSlice> scanFan;
+
     // Transaction state.
     std::uint64_t xactSeq = 0;
     std::uint64_t curXactId = 0;
@@ -275,8 +280,6 @@ class Client
     /** Phase breakdown of each op's last (successful) attempt. */
     std::vector<sim::PhaseAccum> xactOpPhases;
 
-    // Sharded-transaction state (one attempt at a time; see
-    // startShardedXactAttempt).
     /** Failover rotation pinned for the attempt, so every message of
      *  one attempt picks the same member within each team. */
     std::uint32_t xactRotation = 0;

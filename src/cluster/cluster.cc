@@ -24,10 +24,9 @@ validated(const ClusterConfig &config)
 
 Cluster::Cluster(const ClusterConfig &config)
     : cfg(validated(config)),
-      rmap(config.numServers, config.replicationFactor),
+      rmap(config.numServers / numTeams(), config.replicationFactor),
       hedgeEstimator(config.numServers),
-      teamSize_(sharded() ? config.numServers / config.numShards
-                          : config.numServers)
+      layout(shard::ShardLayout::makeInitial(config.keyCount, numTeams()))
 {
     if (cfg.faults.any() || cfg.faults.anySlow()) {
         if (cfg.faults.any()) {
@@ -43,29 +42,28 @@ Cluster::Cluster(const ClusterConfig &config)
             cfg.faults, cfg.numServers, cfg.seed);
     }
 
-    // One fabric per replica team. In legacy mode that is one fabric
-    // over all servers; sharded teams are network-isolated from each
-    // other (inter-team coordination happens client-side, through the
-    // router hop).
+    // One fabric per replica team: teams are network-isolated from
+    // each other (inter-team coordination happens client-side, through
+    // the router hop).
     for (std::uint32_t t = 0; t < numTeams(); ++t)
         fabrics.push_back(
-            std::make_unique<net::Fabric>(eq, cfg.network, teamSize_));
+            std::make_unique<net::Fabric>(eq, cfg.network, teamSize()));
     if (faultPlan)
         fabrics[0]->setFaultPlan(faultPlan.get());
 
     core::NodeParams np = cfg.node;
     np.model = cfg.model;
-    np.numNodes = teamSize_;
+    np.numNodes = teamSize();
     np.replicationFactor = cfg.replicationFactor;
     np.keyCount = cfg.keyCount;
 
-    // Global node n lives in team n / teamSize_ under team-local id
-    // n % teamSize_; the protocol engine runs unmodified within its
+    // Global node n lives in team n / teamSize() under team-local id
+    // n % teamSize(); the protocol engine runs unmodified within its
     // team, while checker observations carry the global id.
     for (std::uint32_t n = 0; n < cfg.numServers; ++n) {
-        np.observerIdOffset = (n / teamSize_) * teamSize_;
+        np.observerIdOffset = teamOf(n) * teamSize();
         nodes.push_back(std::make_unique<core::ProtocolNode>(
-            eq, *fabrics[n / teamSize_], n % teamSize_, np, ctr,
+            eq, *fabrics[teamOf(n)], n % teamSize(), np, ctr,
             &xactTable));
     }
 
@@ -161,8 +159,7 @@ Cluster::Cluster(const ClusterConfig &config)
     std::uint32_t cid = 0;
     for (std::uint32_t t = 0; t < tenantTable.size(); ++t) {
         for (std::uint32_t k = 0; k < tenantClients[t]; ++k, ++cid) {
-            clients.push_back(std::make_unique<Client>(
-                *this, *nodes[cid % cfg.numServers], cid, t));
+            clients.push_back(std::make_unique<Client>(*this, cid, t));
         }
     }
 
@@ -173,8 +170,6 @@ Cluster::Cluster(const ClusterConfig &config)
     }
 
     if (sharded()) {
-        layout =
-            shard::ShardLayout::makeInitial(cfg.keyCount, cfg.numShards);
         teamServed.assign(cfg.numShards, 0);
         shard::DataDistributor::Params dp;
         dp.interval = cfg.shardRebalanceInterval;
@@ -202,11 +197,10 @@ Cluster::~Cluster() = default;
 core::ProtocolNode &
 Cluster::nodeForKey(net::KeyId key, std::uint32_t client_id)
 {
-    if (sharded())
-        return nodeInTeam(layout.teamFor(key), client_id);
+    shard::TeamId t = layout.teamFor(key);
     if (rmap.full())
-        return *nodes[client_id % cfg.numServers];
-    return *nodes[rmap.coordinatorFor(key, client_id)];
+        return nodeInTeam(t, client_id);
+    return *nodes[t * teamSize() + rmap.coordinatorFor(key, client_id)];
 }
 
 sim::Tick
@@ -279,7 +273,7 @@ Cluster::setTrace(sim::TraceRecorder *t)
 {
     trace = t;
     for (std::uint32_t f = 0; f < fabrics.size(); ++f)
-        fabrics[f]->setTrace(t, f * teamSize_);
+        fabrics[f]->setTrace(t, f * teamSize());
     for (std::uint32_t n = 0; n < nodes.size(); ++n) {
         nodes[n]->setTrace(t, n);
         nodes[n]->nvm().setTrace(t, n, 2);
@@ -289,8 +283,8 @@ Cluster::setTrace(sim::TraceRecorder *t)
         return;
     for (std::uint32_t n = 0; n < nodes.size(); ++n) {
         std::string name =
-            sharded() ? "team" + std::to_string(n / teamSize_) +
-                            ".node" + std::to_string(n % teamSize_)
+            sharded() ? "team" + std::to_string(teamOf(n)) +
+                            ".node" + std::to_string(n % teamSize())
                       : "node" + std::to_string(n);
         t->processName(n, name);
         t->threadName(n, 0, "requests");
@@ -398,6 +392,9 @@ Cluster::schedulePartialCrash(sim::Tick at,
                               std::vector<net::NodeId> victims,
                               sim::Tick restart_after)
 {
+    std::string err = cfg.validateStagedCrash();
+    if (!err.empty())
+        throw std::invalid_argument(err);
     eq.schedule(at, [this, victims = std::move(victims), restart_after] {
         crashPartialStaged(victims, restart_after);
     });
@@ -429,12 +426,10 @@ Cluster::pendingReplaySnapshot(const std::vector<bool> &crashed) const
             net::Version v = nodes[rep]->pendingInvalidation(key);
             // Only writes whose coordinator died are replayed; a
             // surviving writer aborts its own round and the client
-            // retries it. Version writer ids are team-local in sharded
-            // mode; map back to the holder's team for the lookup.
-            net::NodeId writer =
-                sharded() ? static_cast<net::NodeId>(
-                                teamOf(rep) * teamSize_ + v.writer)
-                          : v.writer;
+            // retries it. Version writer ids are team-local; map back
+            // to the holder's team for the lookup.
+            net::NodeId writer = static_cast<net::NodeId>(
+                teamOf(rep) * teamSize() + v.writer);
             if (v.number > 0 && writer < crashed.size() &&
                 crashed[writer] && replay[key] < v)
                 replay[key] = v;
@@ -533,9 +528,6 @@ void
 Cluster::crashPartialStaged(const std::vector<net::NodeId> &victims,
                             sim::Tick restart_after)
 {
-    assert(cfg.clientRequestTimeout > 0 &&
-           "staged partial crash needs client request timeouts: victims' "
-           "clients would otherwise hang for the whole downtime");
     std::vector<bool> crashed = beginPartialCrash(victims);
 
     std::uint64_t torn_before = ctr.get("torn_persists_detected");
@@ -925,6 +917,9 @@ Cluster::recoverAll()
             divergent * cfg.network.serializationTicks(64);
     } else {
         // Local-only: every node replays its own NVM; cost is a scan.
+        // Unsharded, a key counts when its home replica holds it;
+        // sharded, when any copy does. The two forks answer
+        // differently (ROADMAP, "One topology") and are kept as is.
         for (net::KeyId key = 0; key < cfg.keyCount; ++key) {
             net::Version best{};
             if (sharded()) {
@@ -945,7 +940,7 @@ Cluster::recoverAll()
              cfg.node.nvmParams.banksPerChannel);
     }
 
-    // The key's home replica holds the recovered version (legacy);
+    // Unsharded, the key's home replica holds the recovered version;
     // sharded audits take the freshest copy across the key's teams.
     auditEpoch(rs, [this](net::KeyId key) {
         if (!sharded())
@@ -964,17 +959,10 @@ Cluster::recoverAll()
 void
 Cluster::setPeerDownAll(net::NodeId victim, bool down)
 {
-    if (!sharded()) {
-        for (auto &node : nodes)
-            node->setPeerDown(victim, down);
-        return;
-    }
-    // Peer tables are team-local: only the victim's teammates can see
-    // (or miss) it.
     shard::TeamId t = teamOf(victim);
-    net::NodeId local = victim % teamSize_;
-    for (std::uint32_t r = 0; r < teamSize_; ++r)
-        nodes[t * teamSize_ + r]->setPeerDown(local, down);
+    net::NodeId local = victim % teamSize();
+    for (std::uint32_t r = 0; r < teamSize(); ++r)
+        nodes[t * teamSize() + r]->setPeerDown(local, down);
 }
 
 void
@@ -985,23 +973,12 @@ Cluster::transferCausalProgress(const std::vector<net::NodeId> &victims)
     std::vector<bool> returning(nodes.size(), false);
     for (net::NodeId v : victims)
         returning[v] = true;
-    if (!sharded()) {
-        core::VectorClock merged(nodes.size());
-        for (std::size_t n = 0; n < nodes.size(); ++n) {
-            if (!returning[n])
-                merged.mergeFrom(nodes[n]->appliedClock());
-        }
-        for (net::NodeId v : victims)
-            nodes[v]->adoptCausalProgress(merged);
-        return;
-    }
-    // Causal clocks are team-local (one slot per teammate): merge each
-    // returning victim's surviving teammates only.
+    // Causal clocks are team-local (one slot per teammate).
     for (std::uint32_t t = 0; t < numTeams(); ++t) {
-        core::VectorClock merged(teamSize_);
+        core::VectorClock merged(teamSize());
         bool any = false;
-        for (std::uint32_t r = 0; r < teamSize_; ++r) {
-            net::NodeId n = t * teamSize_ + r;
+        for (std::uint32_t r = 0; r < teamSize(); ++r) {
+            net::NodeId n = t * teamSize() + r;
             if (returning[n])
                 any = true;
             else
@@ -1009,8 +986,8 @@ Cluster::transferCausalProgress(const std::vector<net::NodeId> &victims)
         }
         if (!any)
             continue;
-        for (std::uint32_t r = 0; r < teamSize_; ++r) {
-            net::NodeId n = t * teamSize_ + r;
+        for (std::uint32_t r = 0; r < teamSize(); ++r) {
+            net::NodeId n = t * teamSize() + r;
             if (returning[n])
                 nodes[n]->adoptCausalProgress(merged);
         }
@@ -1020,30 +997,31 @@ Cluster::transferCausalProgress(const std::vector<net::NodeId> &victims)
 bool
 Cluster::teamHealthy(shard::TeamId t) const
 {
-    for (std::uint32_t r = 0; r < teamSize_; ++r) {
-        const core::ProtocolNode &n = *nodes[t * teamSize_ + r];
+    for (std::uint32_t r = 0; r < teamSize(); ++r) {
+        const core::ProtocolNode &n = *nodes[t * teamSize() + r];
         if (n.isDown() || n.instantRecovering() || n.shedding())
             return false;
     }
     return true;
 }
 
-std::vector<shard::RangeSlice>
-Cluster::scanSlices(net::KeyId key, std::uint32_t len) const
+void
+Cluster::scanSlices(net::KeyId key, std::uint32_t len,
+                    std::vector<shard::RangeSlice> &out) const
 {
     // Clamp exactly the way a node-side scan clamps its window, so the
     // fan-out covers precisely the keys one node would have walked.
     net::KeyId lo = key < cfg.keyCount ? key : cfg.keyCount - 1;
     std::uint64_t span = len ? len : 1;
     net::KeyId hi = lo + span > cfg.keyCount ? cfg.keyCount : lo + span;
-    return layout.overlapping(lo, hi);
+    layout.overlapping(lo, hi, out);
 }
 
 void
 Cluster::noteShardWrite(net::KeyId key, shard::TeamId served_by,
                         net::Version v)
 {
-    if (!sharded() || v.number == 0)
+    if (v.number == 0)
         return;
     shard::TeamId owner = layout.teamFor(key);
     if (owner == served_by)
@@ -1055,8 +1033,8 @@ Cluster::noteShardWrite(net::KeyId key, shard::TeamId served_by,
     // keep consulting the one place the version is durable.
     ++shardStrayWriteCount;
     ctr.add("shard_stray_writes");
-    for (std::uint32_t r = 0; r < teamSize_; ++r) {
-        net::NodeId n = owner * teamSize_ + r;
+    for (std::uint32_t r = 0; r < teamSize(); ++r) {
+        net::NodeId n = owner * teamSize() + r;
         if (!nodes[n]->isDown())
             nodes[n]->adoptVisible(key, v);
     }
@@ -1098,8 +1076,8 @@ Cluster::executeMigration(std::size_t range_idx, shard::TeamId dst)
     auto freshest = [this](net::KeyId key) {
         return migrationFreshest(key);
     };
-    for (std::uint32_t i = 0; i < teamSize_; ++i) {
-        net::NodeId n = dst * teamSize_ + i;
+    for (std::uint32_t i = 0; i < teamSize(); ++i) {
+        net::NodeId n = dst * teamSize() + i;
         if (nodes[n]->isDown())
             continue;
         ++migration.pending;
@@ -1120,8 +1098,8 @@ Cluster::migrationFreshest(net::KeyId key) const
     net::Version best{};
     if (!migration.active)
         return best;
-    for (std::uint32_t i = 0; i < teamSize_; ++i) {
-        net::NodeId n = migration.srcTeam * teamSize_ + i;
+    for (std::uint32_t i = 0; i < teamSize(); ++i) {
+        net::NodeId n = migration.srcTeam * teamSize() + i;
         if (nodes[n]->isDown())
             continue;
         net::Version v = nodes[n]->visibleVersion(key);
@@ -1162,7 +1140,7 @@ Cluster::finishMigration()
 void
 Cluster::noteAcquireCancelled(net::NodeId victim)
 {
-    if (!sharded() || !migration.active)
+    if (!migration.active)
         return;
     if (teamOf(victim) != migration.dstTeam ||
         !nodes[victim]->rangeAcquiring())

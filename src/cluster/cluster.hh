@@ -13,6 +13,7 @@
 #ifndef DDP_CLUSTER_CLUSTER_HH
 #define DDP_CLUSTER_CLUSTER_HH
 
+#include <algorithm>
 #include <array>
 #include <map>
 #include <memory>
@@ -100,9 +101,12 @@ class Cluster
      * whatever the live replica set allows. After @p restart_after the
      * victims come back up, recover their keys from the freshest
      * surviving copy (own NVM vs. survivor volatile state), and
-     * re-join. Requires cfg.clientRequestTimeout > 0 — only client
-     * timeout + failover keeps victims' clients making progress during
-     * the downtime.
+     * re-join.
+     * @throws std::invalid_argument with
+     *         ClusterConfig::validateStagedCrash()'s message when
+     *         clients have no request timeout (only client timeout +
+     *         failover keeps victims' clients making progress during
+     *         the downtime).
      */
     void schedulePartialCrash(sim::Tick at,
                               std::vector<net::NodeId> victims,
@@ -136,10 +140,10 @@ class Cluster
     sim::Tick now() const { return eq.now(); }
 
     /**
-     * Coordinator a client should use for @p key: under partial
-     * replication, one of the key's replicas (clients are
-     * partition-aware, as real smart clients are); under full
-     * replication, the client's affinity node.
+     * Coordinator a client should use for @p key, inside the key's
+     * team: under partial replication, one of the key's replicas
+     * (clients are partition-aware, as real smart clients are); under
+     * full replication, the client's affinity member.
      */
     core::ProtocolNode &nodeForKey(net::KeyId key,
                                    std::uint32_t client_id);
@@ -165,18 +169,22 @@ class Cluster
     /** A client abandoned a transaction batch (attempt cap). */
     void noteXactAbandoned() { ++xactAbandonedCount; }
 
-    // --- Sharded multi-group topology (cfg.numShards > 0) --------------------
-    /** True when the cluster runs numShards replica teams. */
+    // --- Replica teams ---------------------------------------------------------
+    // Every cluster is a ShardLayout over one or more replica teams; an
+    // unsharded cluster is one team owning one range. sharded() only
+    // switches on the router hop, the data distributor, the shard_*
+    // result fields and two recoverAll() forks (DESIGN.md decision 21).
+    /** True when the cluster runs cfg.numShards teams behind a router. */
     bool sharded() const { return cfg.numShards > 0; }
-    /** Replica teams (1 in legacy single-group mode). */
+    /** Replica teams (1 when unsharded). */
     std::uint32_t numTeams() const
     {
         return sharded() ? cfg.numShards : 1;
     }
-    /** Nodes per team (== numServers in legacy mode). */
-    std::uint32_t teamSize() const { return teamSize_; }
+    /** Nodes per team (numServers when unsharded). */
+    std::uint32_t teamSize() const { return rmap.numNodes(); }
     /** Team of global node @p n. */
-    shard::TeamId teamOf(net::NodeId n) const { return n / teamSize_; }
+    shard::TeamId teamOf(net::NodeId n) const { return n / teamSize(); }
     /** Team currently owning @p key per the shard layout. */
     shard::TeamId teamForKey(net::KeyId key) const
     {
@@ -186,17 +194,17 @@ class Cluster
     core::ProtocolNode &
     nodeInTeam(shard::TeamId team, std::uint32_t pick)
     {
-        return *nodes[team * teamSize_ + pick % teamSize_];
+        return *nodes[team * teamSize() + pick % teamSize()];
     }
-    /** Router hop charged on every client dispatch (0 when legacy). */
+    /** Router hop charged on every client dispatch (0 when unsharded). */
     sim::Tick routerHop() const
     {
         return sharded() ? cfg.network.routerHop : 0;
     }
-    /** Per-team slices of the scan [key, key+len), clamped exactly the
-     *  way a node-side scan clamps its window. */
-    std::vector<shard::RangeSlice> scanSlices(net::KeyId key,
-                                              std::uint32_t len) const;
+    /** Per-team slices of the scan [key, key+len) into @p out, clamped
+     *  exactly the way a node-side scan clamps its window. */
+    void scanSlices(net::KeyId key, std::uint32_t len,
+                    std::vector<shard::RangeSlice> &out) const;
     /**
      * A write of @p key completed at team @p served_by (the owner at
      * dispatch time). If a migration moved the key while the write was
@@ -208,7 +216,7 @@ class Cluster
                         net::Version v);
     /** Current range layout (tests, benches). */
     const shard::ShardLayout &shardLayout() const { return layout; }
-    /** The run's data distributor (tests; sharded mode only). */
+    /** The run's data distributor (tests; sharded() only). */
     const shard::DataDistributor &dataDistributor() const
     {
         return *distributor;
@@ -287,7 +295,7 @@ class Cluster
      * is a legal read); under every stronger model only a live
      * replica holding the freshest visible version across the live
      * replica set is — a hedge may change *which* copy answers, never
-     * weaken what the bound model guarantees. Unsharded clusters only
+     * weaken what the bound model guarantees. One-team clusters only
      * (ClusterConfig::validate() rejects hedging with shards).
      */
     net::NodeId hedgePeerFor(net::KeyId key, net::NodeId primary);
@@ -339,29 +347,33 @@ class Cluster
 
     /**
      * Visit the global id of every node that may hold a copy of
-     * @p key: the key's replica set (legacy mode), or — sharded — the
-     * owning team plus every team the key's data may still be draining
-     * from (an active migration's source, residual sources of
-     * crashed-out migrations, the server of a stray write). Crash
-     * recovery and durability audits route through this so both
-     * topologies share one notion of "where can this key live".
+     * @p key: the key's replicas in its owning team, plus those in
+     * every team the key's data may still be draining from (an active
+     * migration's source, residual sources of crashed-out migrations,
+     * the server of a stray write). Crash recovery and durability
+     * audits route through this one notion of "where can this key
+     * live".
      */
     template <typename Fn>
     void
     forEachReplica(net::KeyId key, Fn &&fn) const
     {
-        if (!sharded()) {
+        auto visit = [&](shard::TeamId t) {
             for (std::uint32_t i = 0; i < rmap.factor(); ++i)
-                fn(rmap.replica(key, i));
+                fn(static_cast<net::NodeId>(t * teamSize() +
+                                            rmap.replica(key, i)));
+        };
+        const shard::TeamId home = layout.teamFor(key);
+        visit(home);
+        if (!migration.active && residualSources.empty() &&
+            straySource.empty())
             return;
-        }
-        std::vector<shard::TeamId> teams;
-        teams.push_back(layout.teamFor(key));
-        auto add = [&teams](shard::TeamId t) {
-            for (shard::TeamId have : teams)
-                if (have == t)
-                    return;
+        std::vector<shard::TeamId> teams{home};
+        auto add = [&](shard::TeamId t) {
+            if (std::find(teams.begin(), teams.end(), t) != teams.end())
+                return;
             teams.push_back(t);
+            visit(t);
         };
         if (migration.active && key >= migration.lo &&
             key < migration.hi)
@@ -371,16 +383,13 @@ class Cluster
                 add(r.team);
         if (auto it = straySource.find(key); it != straySource.end())
             add(it->second);
-        for (shard::TeamId t : teams)
-            for (std::uint32_t i = 0; i < teamSize_; ++i)
-                fn(static_cast<net::NodeId>(t * teamSize_ + i));
     }
 
-    /** Set/clear @p victim's down mark at every peer that can see it
-     *  (its teammates in sharded mode; everyone in legacy mode). */
+    /** Set/clear @p victim's down mark at its teammates (peer tables
+     *  are team-local). */
     void setPeerDownAll(net::NodeId victim, bool down);
-    /** Merge surviving peers' causal clocks into returning victims
-     *  (per team in sharded mode; cluster-wide in legacy mode). */
+    /** Merge each returning victim's surviving teammates' causal
+     *  clocks into it. */
     void transferCausalProgress(const std::vector<net::NodeId> &victims);
     /** Every member of @p t up, fully recovered, and not shedding. */
     bool teamHealthy(shard::TeamId t) const;
@@ -400,12 +409,13 @@ class Cluster
     void noteAcquireCancelled(net::NodeId victim);
 
     ClusterConfig cfg;
+    /** Replica placement inside one team (team-local node ids). */
     core::ReplicaMap rmap;
     sim::EventQueue eq;
     stats::CounterRegistry ctr;
     core::XactConflictTable xactTable;
     std::unique_ptr<net::FaultPlan> faultPlan;
-    /** One fabric per replica team (a single entry in legacy mode). */
+    /** One fabric per replica team. */
     std::vector<std::unique_ptr<net::Fabric>> fabrics;
     std::vector<std::unique_ptr<core::ProtocolNode>> nodes;
     std::vector<std::unique_ptr<Client>> clients;
@@ -479,11 +489,10 @@ class Cluster
     std::uint64_t servedDuringRecoveryCount = 0;
     bool ran = false;
 
-    // --- Sharded multi-group state (cfg.numShards > 0) ----------------------
-    /** Nodes per replica team; == numServers in legacy mode. */
-    std::uint32_t teamSize_ = 0;
-    /** Range-partitioned keymap (sharded mode only). */
+    // --- Replica-team state ------------------------------------------------
+    /** Range-partitioned keymap (one range on team 0 when unsharded). */
     shard::ShardLayout layout;
+    /** Splits and migrates ranges (sharded() only). */
     std::unique_ptr<shard::DataDistributor> distributor;
     /** The one in-flight migration (the distributor serializes them).
      *  Bounds are stored, never a range index — later splits shift

@@ -155,4 +155,14 @@ ClusterConfig::validateCrashVictims(
     return {};
 }
 
+std::string
+ClusterConfig::validateStagedCrash() const
+{
+    if (clientRequestTimeout == 0)
+        return "a staged partial crash needs a client request timeout: "
+               "without failover the victims' clients hang for the "
+               "whole downtime";
+    return {};
+}
+
 } // namespace ddp::cluster

@@ -224,13 +224,14 @@ struct ClusterConfig
 
     // --- Sharded multi-group mode -------------------------------------------
     /**
-     * Number of key-range shards; 0 (the default) = the classic single
-     * replication group. When > 0 the servers are carved into numShards
-     * replica *teams* of numServers / numShards nodes each (must divide
-     * evenly, with teams of at least 2), every team running its own
-     * full-replication instance of the configured DDP model over a
-     * contiguous key range, behind a range-partitioned router
-     * (shard::ShardLayout). Incompatible with fault and slow plans,
+     * Number of key-range shards; 0 (the default) = one replica team of
+     * every server, no router hop and no data distributor (the paper's
+     * single replication group). When > 0 the servers are carved into
+     * numShards replica *teams* of numServers / numShards nodes each
+     * (must divide evenly, with teams of at least 2), every team
+     * running its own full-replication instance of the configured DDP
+     * model over a contiguous key range, behind a range-partitioned
+     * router (shard::ShardLayout). Incompatible with fault and slow plans,
      * SimulatedVoting recovery, partial replication, and hedged reads
      * (validate()).
      */
@@ -290,6 +291,14 @@ struct ClusterConfig
      */
     std::string
     validateCrashVictims(const std::vector<net::NodeId> &victims) const;
+
+    /**
+     * The rule a staged partial crash (victims down for a while, then
+     * restarted) keeps on this cluster: clients need request timeouts,
+     * or the victims' clients hang for the whole downtime. Returns the
+     * message of the broken rule, or "" when staging is allowed.
+     */
+    std::string validateStagedCrash() const;
 };
 
 } // namespace ddp::cluster

@@ -45,12 +45,13 @@ ShardLayout::rangeOf(net::KeyId key) const
     return static_cast<std::size_t>(it - ranges.begin());
 }
 
-std::vector<RangeSlice>
-ShardLayout::overlapping(net::KeyId lo, net::KeyId hi) const
+void
+ShardLayout::overlapping(net::KeyId lo, net::KeyId hi,
+                         std::vector<RangeSlice> &out) const
 {
-    std::vector<RangeSlice> out;
+    out.clear();
     if (lo >= hi || lo >= keys)
-        return out;
+        return;
     hi = std::min<net::KeyId>(hi, keys);
     for (std::size_t i = rangeOf(lo); i < ranges.size(); ++i) {
         const Range &r = ranges[i];
@@ -59,7 +60,6 @@ ShardLayout::overlapping(net::KeyId lo, net::KeyId hi) const
         out.push_back(RangeSlice{i, r.team, std::max(r.lo, lo),
                                  std::min(r.hi, hi)});
     }
-    return out;
 }
 
 std::size_t

@@ -82,11 +82,12 @@ class ShardLayout
 
     /**
      * Every range intersecting [lo, hi), with the intersection bounds
-     * clamped per slice — the fan-out set of a scan. Empty when the
-     * window is empty or out of bounds.
+     * clamped per slice — the fan-out set of a scan — into @p out
+     * (cleared first, capacity kept). Empty when the window is empty
+     * or out of bounds.
      */
-    std::vector<RangeSlice> overlapping(net::KeyId lo,
-                                        net::KeyId hi) const;
+    void overlapping(net::KeyId lo, net::KeyId hi,
+                     std::vector<RangeSlice> &out) const;
 
     /**
      * Split range @p idx at @p mid (lo < mid < hi). Both halves stay

@@ -274,6 +274,30 @@ TEST(ConfigValidate, CrashVictimsLeaveSurvivors)
     EXPECT_THROW(c.run(), std::invalid_argument);
 }
 
+TEST(ConfigValidate, StagedCrashNeedsRequestTimeouts)
+{
+    ClusterConfig cfg = tinyConfig();
+    ASSERT_EQ(cfg.clientRequestTimeout, 0u);
+    std::string err = cfg.validateStagedCrash();
+    EXPECT_NE(err.find("a staged partial crash needs a client request "
+                       "timeout"),
+              std::string::npos)
+        << err;
+
+    // Refused when scheduled, before any simulated time passes.
+    Cluster c(cfg);
+    try {
+        c.schedulePartialCrash(100 * sim::kMicrosecond, {1},
+                               50 * sim::kMicrosecond);
+        ADD_FAILURE() << "a staged crash without timeouts was scheduled";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_EQ(err, e.what());
+    }
+
+    cfg.clientRequestTimeout = 50 * sim::kMicrosecond;
+    EXPECT_EQ(cfg.validateStagedCrash(), "");
+}
+
 TEST(ConfigValidate, BenchmarkWorkloadConfigsAreValid)
 {
     // paper-closed: Table 5 defaults, <Linearizable, Strict>.

@@ -9,7 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <map>
 #include <numeric>
+#include <string>
 
 #include "cluster/cluster.hh"
 
@@ -240,6 +243,184 @@ TEST(ShardCluster, MultiTeamRestartRecoversPerShard)
 // --------------------------------------------------------------------------
 // Construction-time validation
 // --------------------------------------------------------------------------
+
+// --------------------------------------------------------------------------
+// One request path: an unsharded cluster is a one-team cluster
+// --------------------------------------------------------------------------
+
+namespace {
+
+bool
+sameDouble(double a, double b)
+{
+    return a == b || (std::isnan(a) && std::isnan(b));
+}
+
+/** Counters minus the shard_* entries only a sharded cluster keeps. */
+std::map<std::string, std::uint64_t>
+withoutShardCounters(std::map<std::string, std::uint64_t> counters)
+{
+    std::erase_if(counters, [](const auto &kv) {
+        return kv.first.rfind("shard_", 0) == 0;
+    });
+    return counters;
+}
+
+/**
+ * Every simulated RunResult field of @p a and @p b must be equal,
+ * except eventsExecuted (the data distributor's rebalance ticks are
+ * events) and the shard_* accounting, which only a sharded cluster
+ * reports. wallSeconds is host time and never compared.
+ */
+void
+expectSameSimulatedResult(const RunResult &a, const RunResult &b,
+                          const std::string &what)
+{
+#define SAME(f) EXPECT_EQ(a.f, b.f) << what << ": " #f
+#define SAME_D(f) EXPECT_TRUE(sameDouble(a.f, b.f)) \
+    << what << ": " #f " " << a.f << " vs " << b.f
+    SAME_D(throughput);
+    SAME_D(meanReadNs);
+    SAME_D(meanWriteNs);
+    SAME_D(meanNs);
+    SAME_D(p50ReadNs);
+    SAME_D(p95ReadNs);
+    SAME_D(p99ReadNs);
+    SAME_D(p50WriteNs);
+    SAME_D(p95WriteNs);
+    SAME_D(p99WriteNs);
+    SAME(reads);
+    SAME(writes);
+    SAME(scans);
+    SAME(scanKeysVisited);
+    for (std::size_t p = 0; p < sim::kPhaseCount; ++p) {
+        SAME_D(phaseBreakdown[p].meanNs);
+        SAME_D(phaseBreakdown[p].p95Ns);
+    }
+    SAME(messages);
+    SAME(networkBytes);
+    SAME(persistsIssued);
+    SAME(readsStalledVisibility);
+    SAME(readsStalledPersist);
+    SAME(xactStarted);
+    SAME(xactCommitted);
+    SAME(xactAborted);
+    SAME(xactConflicts);
+    SAME(causalBufferPeak);
+    SAME(monotonicViolations);
+    SAME(staleReads);
+    SAME(lostAckedWriteKeys);
+    SAME(lostAckedWrites);
+    SAME(crashEpochs);
+    SAME(tornPersistsDetected);
+    SAME(tornValuesInstalled);
+    SAME(tornReadsServed);
+    SAME(nodeRestarts);
+    SAME(convergenceFailures);
+    SAME(clientFailovers);
+    SAME(clientRetransmits);
+    SAME(clientRetransmitsDeduped);
+    SAME(xactAbandoned);
+    SAME(shedRequests);
+    SAME(hedgesSent);
+    SAME(hedgesWon);
+    SAME(hedgesCancelled);
+    SAME(netDropped);
+    SAME(netDuplicated);
+    SAME(netDelayed);
+    SAME(netReordered);
+    SAME(netPartitionDrops);
+    SAME(netRetransmits);
+    SAME(netRtoTimeouts);
+    SAME(netGiveUps);
+    SAME(netAcks);
+    SAME(netDuplicateArrivals);
+    SAME(netOutOfOrderArrivals);
+    SAME(tracerDropped);
+    SAME(recoveryTimeouts);
+    SAME(recoveryRetries);
+    SAME(recoveryQuorumBatches);
+    SAME(recoveryQuorumFailures);
+    SAME(unreachableNodes);
+    SAME(timelineRate);
+    SAME(timelineBucket);
+    SAME_D(recoveryTimeToSloUs);
+    SAME(servedDuringRecovery);
+    SAME(recoveryFaultIns);
+    SAME(tenants.size());
+    SAME(openLoop);
+    SAME_D(offeredLoadOpsPerSec);
+    SAME(doorbellDrains);
+    SAME(drainedMessages);
+    EXPECT_EQ(withoutShardCounters(a.counters),
+              withoutShardCounters(b.counters))
+        << what << ": counters";
+#undef SAME_D
+#undef SAME
+}
+
+/** The shardConfig() cluster as one team: numShards = 1, a zero-cost
+ *  router hop and no split threshold. */
+ClusterConfig
+oneTeam(ClusterConfig cfg)
+{
+    cfg.numShards = 1;
+    cfg.network.routerHop = 0;
+    cfg.shardSplitThreshold = 0;
+    return cfg;
+}
+
+RunResult
+runChecked(const ClusterConfig &cfg,
+           const std::vector<net::NodeId> &staged_victims = {})
+{
+    core::PropertyChecker checker;
+    Cluster cluster(cfg);
+    cluster.setChecker(&checker);
+    if (!staged_victims.empty())
+        cluster.schedulePartialCrash(cfg.warmup + cfg.measure / 2,
+                                     staged_victims,
+                                     100 * sim::kMicrosecond);
+    return cluster.run();
+}
+
+} // namespace
+
+TEST(ShardCluster, OneTeamClusterMatchesUnshardedForAllModels)
+{
+    for (const DdpModel &m : core::allModels()) {
+        ClusterConfig cfg = shardConfig(m, 6, 0);
+        cfg.warmup = 100 * sim::kMicrosecond;
+        cfg.measure = 300 * sim::kMicrosecond;
+        RunResult flat = runChecked(cfg);
+        RunResult team = runChecked(oneTeam(cfg));
+        ASSERT_GT(flat.reads + flat.writes, 0u) << core::modelName(m);
+        EXPECT_FALSE(flat.sharded);
+        EXPECT_TRUE(team.sharded);
+        expectSameSimulatedResult(flat, team, core::modelName(m));
+    }
+}
+
+TEST(ShardCluster, OneTeamClusterMatchesUnshardedThroughStagedCrash)
+{
+    for (RecoveryPolicy policy :
+         {RecoveryPolicy::Voting, RecoveryPolicy::Instant}) {
+        for (const DdpModel &m :
+             {DdpModel{Consistency::Linearizable, Persistency::Strict},
+              DdpModel{Consistency::Causal, Persistency::Synchronous}}) {
+            ClusterConfig cfg = shardConfig(m, 6, 0);
+            cfg.recovery = policy;
+            cfg.clientRequestTimeout = 50 * sim::kMicrosecond;
+            RunResult flat = runChecked(cfg, {1});
+            RunResult team = runChecked(oneTeam(cfg), {1});
+            std::string what =
+                core::modelName(m) +
+                (policy == RecoveryPolicy::Voting ? " voting" : " instant");
+            ASSERT_EQ(flat.nodeRestarts, 1u) << what;
+            expectSameSimulatedResult(flat, team, what);
+        }
+    }
+}
 
 TEST(ShardCluster, LegacyModeIsUntouched)
 {

@@ -79,7 +79,8 @@ TEST(ShardLayout, PointRoutingMatchesRangeBounds)
 TEST(ShardLayout, OverlappingClampsToTheWindow)
 {
     ShardLayout l = ShardLayout::makeInitial(100, 4); // 25 keys/range
-    std::vector<RangeSlice> s = l.overlapping(20, 60);
+    std::vector<RangeSlice> s;
+    l.overlapping(20, 60, s);
     ASSERT_EQ(s.size(), 3u);
     EXPECT_EQ(s[0].lo, 20u);
     EXPECT_EQ(s[0].hi, 25u);
@@ -89,12 +90,14 @@ TEST(ShardLayout, OverlappingClampsToTheWindow)
     EXPECT_EQ(s[2].lo, 50u);
     EXPECT_EQ(s[2].hi, 60u);
     // Single-range window.
-    s = l.overlapping(30, 31);
+    l.overlapping(30, 31, s);
     ASSERT_EQ(s.size(), 1u);
     EXPECT_EQ(s[0].team, 1u);
     // Empty / out-of-bounds windows.
-    EXPECT_TRUE(l.overlapping(40, 40).empty());
-    EXPECT_TRUE(l.overlapping(100, 120).empty());
+    l.overlapping(40, 40, s);
+    EXPECT_TRUE(s.empty());
+    l.overlapping(100, 120, s);
+    EXPECT_TRUE(s.empty());
 }
 
 TEST(ShardLayout, SplitKeepsOwnershipAndContiguity)
