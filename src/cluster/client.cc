@@ -112,6 +112,7 @@ Client::restartAt(sim::Tick resume_at)
         // tenant tally (offered - served - shed at run end).
         inflight = 0;
         arrivalQueue.clear();
+        openSlots.clear(); // the generation bump orphaned every slot
     }
     std::uint32_t g = generation;
     owner.queue().schedule(resume_at, [this, g] {
@@ -212,14 +213,6 @@ Client::completeCycle(bool served, sim::Tick latency)
     }
 }
 
-/** Slot-local state of one concurrent open-loop plain op. */
-struct Client::OpenSlot
-{
-    /** Completed or timed out; orphans the other outcome's callback. */
-    bool done = false;
-    sim::TimerId timer = sim::kNoTimer;
-};
-
 void
 Client::issueOpenPlainOp(sim::Tick arrival_at)
 {
@@ -233,41 +226,57 @@ Client::sendOpenOp(workload::Op op, std::uint64_t seq,
                    sim::Tick arrival_at, std::uint32_t rotation)
 {
     std::uint32_t g = generation;
-    auto slot = std::make_shared<OpenSlot>();
+    std::uint64_t h = openSlots.alloc();
+    OpenSlot &slot = openSlots.at(h);
+    slot.op = op;
+    slot.seq = seq;
+    slot.arrivalAt = arrival_at;
+    slot.rotation = rotation;
     if (timeoutsEnabled()) {
-        slot->timer = owner.queue().scheduleTimerIn(
-            owner.config().clientRequestTimeout,
-            [this, g, op, seq, arrival_at, rotation, slot] {
-                if (g != generation || slot->done)
+        slot.timer = owner.queue().scheduleTimerIn(
+            owner.config().clientRequestTimeout, [this, g, h] {
+                if (g != generation)
                     return;
-                slot->done = true; // orphan the slow attempt's reply
+                const OpenSlot *s = openSlots.get(h);
+                if (s == nullptr)
+                    return;
+                OpenSlot timed_out = *s;
+                openSlots.free(h); // orphan the slow attempt's reply
                 owner.noteClientFailover();
                 owner.noteClientRetransmit();
-                sendOpenOp(op, seq, arrival_at, rotation + 1);
+                sendOpenOp(timed_out.op, timed_out.seq,
+                           timed_out.arrivalAt, timed_out.rotation + 1);
             });
     }
-    routed([this, g, op, seq, arrival_at, rotation, slot] {
-        if (g != generation || slot->done)
+    routed([this, g, h] {
+        if (g != generation)
             return;
+        const OpenSlot *s = openSlots.get(h);
+        if (s == nullptr)
+            return;
+        const workload::Op op = s->op;
         OpContext ctx;
         if (timeoutsEnabled() && op.type == workload::OpType::Write) {
             ctx.clientId = clientId;
-            ctx.clientSeq = seq;
+            ctx.clientSeq = s->seq;
         }
         // See dispatchPlainOp: the completed version chases the key if
         // a migration moved it mid-flight.
         shard::TeamId served = owner.teamForKey(op.key);
-        OpCompletion cb = [this, g, served, arrival_at, slot,
+        OpCompletion cb = [this, g, served, h,
                            key = op.key](const OpResult &r) {
             if (r.kind == OpKind::Write)
                 owner.noteShardWrite(r.key, served, r.version);
-            if (g != generation || slot->done)
+            if (g != generation)
                 return;
-            slot->done = true;
-            if (slot->timer != sim::kNoTimer) {
-                owner.queue().cancelTimer(slot->timer);
-                slot->timer = sim::kNoTimer;
-            }
+            const OpenSlot *done = openSlots.get(h);
+            if (done == nullptr)
+                return;
+            sim::Tick arrival_at = done->arrivalAt;
+            sim::TimerId timer = done->timer;
+            openSlots.free(h);
+            if (timer != sim::kNoTimer)
+                owner.queue().cancelTimer(timer);
             owner.noteServerResponse(r.node, r.latency());
             // Arrival-anchored latency; the pre-issue wait (slot
             // queueing, failover gaps) is the ClientQueue phase.
@@ -281,7 +290,7 @@ Client::sendOpenOp(workload::Op op, std::uint64_t seq,
         };
         // No hedging on this path: hedges are a closed-loop serial-
         // engine feature (their state is per-client, not per-slot).
-        dispatchOp(op, ctx, clientId + nodeOffset + rotation,
+        dispatchOp(op, ctx, clientId + nodeOffset + s->rotation,
                    std::move(cb));
     });
 }

@@ -41,6 +41,7 @@
 
 #include "ddp/protocol_node.hh"
 #include "shard/keymap.hh"
+#include "sim/arena.hh"
 #include "sim/random.hh"
 #include "workload/arrival.hh"
 #include "workload/trace.hh"
@@ -113,7 +114,20 @@ class Client
      * flight concurrently (bounded by effectiveWindow()).
      */
     void issueOpenPlainOp(sim::Tick arrival_at);
-    struct OpenSlot;
+    /**
+     * One concurrent open-loop plain op, a cell of openSlots. Its
+     * handle is all the timeout, router-hop and completion callbacks
+     * capture; whichever of completion and timeout comes first frees
+     * the cell, which orphans the other (a stale handle reads null).
+     */
+    struct OpenSlot
+    {
+        workload::Op op{};
+        std::uint64_t seq = 0;
+        sim::Tick arrivalAt = 0;
+        std::uint32_t rotation = 0;
+        sim::TimerId timer = sim::kNoTimer;
+    };
     void sendOpenOp(workload::Op op, std::uint64_t seq,
                     sim::Tick arrival_at, std::uint32_t rotation);
     bool transactional() const;
@@ -229,6 +243,8 @@ class Client
     std::uint32_t inflight = 0;
     /** Arrival ticks waiting for an in-flight slot (<= clientQueueCap). */
     std::deque<sim::Tick> arrivalQueue;
+    /** In-flight open-loop plain ops (see OpenSlot). */
+    sim::ChunkedSlab<OpenSlot> openSlots;
     /** Arrival tick of the in-progress cycle (latency anchor). */
     sim::Tick cycleArrivalAt = 0;
     /** Arrival tick of the in-progress transaction batch. */

@@ -12,9 +12,9 @@
 #define DDP_CORE_CLIENT_API_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "net/message.hh"
+#include "sim/inline_fn.hh"
 #include "sim/phase.hh"
 #include "sim/ticks.hh"
 
@@ -52,8 +52,9 @@ struct OpResult
     sim::Tick latency() const { return completedAt - issuedAt; }
 };
 
-/** Completion callback. */
-using OpCompletion = std::function<void(const OpResult &)>;
+/** Completion callback: move-only; closures of up to 48 bytes are
+ *  stored in place, so issuing a request allocates nothing. */
+using OpCompletion = sim::InlineFn<void(const OpResult &)>;
 
 /** Optional transactional / scope context of a read or write. */
 struct OpContext

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
+#include <span>
 #include <stdexcept>
 
 namespace ddp::core {
@@ -21,6 +23,7 @@ ProtocolNode::ProtocolNode(sim::EventQueue &eq, net::Fabric &fabric,
       self(self),
       cfg(params),
       ctr(counters),
+      hot(counters),
       xactTable(xact_table),
       nvmDev(params.nvmParams),
       dramDev(params.dramParams),
@@ -99,6 +102,24 @@ ProtocolNode::ProtocolNode(sim::EventQueue &eq, net::Fabric &fabric,
                                                params.recoveryTuning);
 
     fabric.attach(self, [this](const Message &m) { handleMessage(m); });
+}
+
+ProtocolNode::HotCounters::HotCounters(stats::CounterRegistry &r)
+    : persistsIssued(r.counter("persists_issued")),
+      persistsCoalesced(r.counter("persists_coalesced")),
+      commitRecordsWritten(r.counter("commit_records_written")),
+      readsCompleted(r.counter("reads_completed")),
+      writesCompleted(r.counter("writes_completed")),
+      scansCompleted(r.counter("scans_completed")),
+      scanKeysVisited(r.counter("scan_keys_visited")),
+      readsStalledVisibility(r.counter("reads_stalled_visibility")),
+      readsStalledPersist(r.counter("reads_stalled_persist")),
+      invSent(r.counter("inv_sent")),
+      updSent(r.counter("upd_sent")),
+      causalBuffered(r.counter("causal_buffered")),
+      acksUnmatched(r.counter("acks_unmatched")),
+      msgsDroppedNodeDown(r.counter("msgs_dropped_node_down"))
+{
 }
 
 // --------------------------------------------------------------------------
@@ -235,11 +256,17 @@ ProtocolNode::waiterSatisfied(KeyId key, const KeyReplica &kr,
 }
 
 void
-ProtocolNode::parkWaiter(KeyId key, Waiter &&w)
+ProtocolNode::parkWaiter(KeyId key, Waiter::Kind kind, Version ver,
+                         std::uint64_t req, sim::Phase stall_phase)
 {
     KeyReplica &kr = keyState(key);
     std::uint64_t h = waiterSlab.alloc();
-    waiterSlab.at(h) = std::move(w);
+    Waiter &w = waiterSlab.at(h);
+    w.kind = kind;
+    w.ver = ver;
+    w.request = req;
+    w.parkedAt = eq.now();
+    w.stallPhase = stall_phase;
     if (kr.waiterTail == sim::ChunkedSlab<Waiter>::kNull)
         kr.waiterHead = h;
     else
@@ -268,13 +295,14 @@ ProtocolNode::wakeWaiters(KeyId key)
             // under hot-key contention this wasted work scales with the
             // number of parked requests.
             sim::Tick t = cores.acquire(eq.now(), cfg.stallRetryCost);
-            if (w.acc != nullptr) {
-                w.acc->add(w.stallPhase, eq.now() - w.parkedAt);
-                w.acc->add(sim::Phase::CoreQueue,
-                           t - eq.now() - cfg.stallRetryCost);
-                w.acc->add(sim::Phase::Service, cfg.stallRetryCost);
-            }
-            eq.schedule(t, std::move(w.resume));
+            sim::PhaseAccum &acc = requests.at(w.request).acc;
+            acc.add(w.stallPhase, eq.now() - w.parkedAt);
+            acc.add(sim::Phase::CoreQueue,
+                    t - eq.now() - cfg.stallRetryCost);
+            acc.add(sim::Phase::Service, cfg.stallRetryCost);
+            // Not epoch-guarded: a request woken before a crash still
+            // resumes after it, with its own (live) record.
+            eq.schedule(t, [this, req = w.request] { runRequest(req); });
             if (prev == sim::ChunkedSlab<Waiter>::kNull)
                 kr.waiterHead = next;
             else
@@ -370,53 +398,33 @@ ProtocolNode::issuePersist(KeyId key, Version ver, std::uint64_t round_id,
                            bool follower_acks, NodeId ack_dst,
                            std::uint64_t ack_op, bool arrival_order,
                            NodeId causal_origin, std::uint64_t causal_seq,
-                           std::function<void()> on_durable)
+                           std::uint64_t barrier)
 {
     // Everything that must happen once this version is durable (or
-    // superseded by a durable newer version) is captured here and
+    // superseded by a durable newer version) is recorded here and
     // fired by the covering persist's completion.
-    PersistObligation obligation =
-        [this, key, ver, round_id, follower_acks, ack_dst, ack_op,
-         causal_origin, causal_seq,
-         on_durable = std::move(on_durable)](Version covered) {
-            (void)covered;
-            if (round_id != 0) {
-                if (Round *r = rounds.get(round_id)) {
-                    assert(r->pendingLocalPersists > 0);
-                    --r->pendingLocalPersists;
-                    checkRound(round_id);
-                }
-            }
-            if (causal_origin != net::kNoNode) {
-                // This persist makes one causal update durable locally:
-                // advance the durable clock and retry buffered UPDs.
-                noteCausalDurable(causal_origin, causal_seq);
-                drainCausalBuffer();
-            }
-            if (follower_acks) {
-                MsgType t =
-                    (cfg.model.persistency == Persistency::Strict ||
-                     cfg.model.persistency == Persistency::Synchronous)
-                        ? MsgType::Ack
-                        : MsgType::AckP;
-                sendTo(ack_dst, makeMsg(t, key, ver, ack_op));
-            }
-            if (on_durable)
-                on_durable();
-        };
+    std::uint64_t h = obligations.alloc();
+    PersistObligation &o = obligations.at(h);
+    o.key = key;
+    o.ver = ver;
+    o.roundId = round_id;
+    o.followerAcks = follower_acks;
+    o.ackDst = ack_dst;
+    o.ackOp = ack_op;
+    o.causalOrigin = causal_origin;
+    o.causalSeq = causal_seq;
+    o.barrier = barrier;
 
     // No NVM write of this key in flight (always so when coalescing is
     // ablated: startKeyPersist then never creates a record).
     PersistFlight *pf = persistFlights.get(keyState(key).persistFlight);
     if (!pf || !pf->busy) {
-        std::vector<PersistObligation> obls;
-        obls.push_back(std::move(obligation));
-        startKeyPersist(key, ver, arrival_order, std::move(obls));
+        startKeyPersist(key, ver, arrival_order, SlabFifo{h, h});
         return;
     }
 
     // Coalesce into the pending follow-up write for this line.
-    ctr.add("persists_coalesced");
+    hot.persistsCoalesced.add();
     if (!pf->hasPending) {
         pf->hasPending = true;
         pf->pendingVer = ver;
@@ -424,33 +432,92 @@ ProtocolNode::issuePersist(KeyId key, Version ver, std::uint64_t round_id,
         pf->pendingVer = ver;
     }
     pf->pendingArrival = arrival_order;
-    pf->pendingObligations.push_back(std::move(obligation));
+    if (pf->pending.tail == 0)
+        pf->pending.head = h;
+    else
+        obligations.at(pf->pending.tail).next = h;
+    pf->pending.tail = h;
+}
+
+void
+ProtocolNode::fulfil(const PersistObligation &o)
+{
+    if (o.roundId != 0) {
+        if (Round *r = rounds.get(o.roundId)) {
+            assert(r->pendingLocalPersists > 0);
+            --r->pendingLocalPersists;
+            checkRound(o.roundId);
+        }
+    }
+    if (o.causalOrigin != net::kNoNode) {
+        // This persist makes one causal update durable locally:
+        // advance the durable clock and retry buffered UPDs.
+        noteCausalDurable(o.causalOrigin, o.causalSeq);
+        drainCausalBuffer();
+    }
+    if (o.followerAcks) {
+        MsgType t = (cfg.model.persistency == Persistency::Strict ||
+                     cfg.model.persistency == Persistency::Synchronous)
+                        ? MsgType::Ack
+                        : MsgType::AckP;
+        sendTo(o.ackDst, makeMsg(t, o.key, o.ver, o.ackOp));
+    }
+    if (o.barrier != 0)
+        barrierPersisted(o.barrier);
+}
+
+void
+ProtocolNode::fireObligations(SlabFifo chain)
+{
+    // Each cell is freed before it fires, so an obligation that issues
+    // a new persist may reuse it; the rest of the chain stays put.
+    for (std::uint64_t h = chain.head; h != 0;) {
+        PersistObligation o = obligations.at(h);
+        obligations.free(h);
+        h = o.next;
+        fulfil(o);
+    }
+}
+
+void
+ProtocolNode::barrierPersisted(std::uint64_t h)
+{
+    PersistBarrier &b = barriers.at(h);
+    assert(b.remaining > 0);
+    if (--b.remaining > 0)
+        return;
+    std::vector<XactWrite> writes = std::move(b.writes);
+    MsgType type = b.ackType;
+    NodeId dst = b.ackDst;
+    std::uint64_t op = b.ackOp;
+    barriers.free(h);
+    applyCommitted(writes);
+    sendTo(dst, makeMsg(type, 0, Version{}, op));
 }
 
 void
 ProtocolNode::startKeyPersist(KeyId key, Version ver, bool arrival_order,
-                              std::vector<PersistObligation> obligations)
+                              SlabFifo chain)
 {
-    ctr.add("persists_issued");
+    hot.persistsIssued.add();
     std::uint32_t ep = currentEpoch;
 
     if (!cfg.persistCoalescing) {
-        // Ablation mode: every persist is independent; obligations ride
-        // in the completion closure instead of the per-key slot.
+        // Ablation mode: every persist is independent; its single
+        // obligation rides in the completion event instead of the
+        // per-key record, and carries the key and version.
         // (Single-line only; valueLines > 1 is rejected in the ctor.)
+        assert(chain.head == chain.tail);
         sim::Tick done_at = nvmDev.write(eq.now(), addrOf(key));
-        auto obls = std::make_shared<std::vector<PersistObligation>>(
-            std::move(obligations));
-        eq.schedule(done_at,
-                    [this, ep, key, ver, arrival_order, obls] {
+        eq.schedule(done_at, [this, ep, arrival_order, chain] {
             if (ep != currentEpoch)
-                return;
-            KeyReplica &kr = keyState(key);
-            image.atomicPersist(key, ver, arrival_order);
-            advancePersisted(kr.persistedVer, ver, arrival_order);
-            wakeWaiters(key);
-            for (auto &obl : *obls)
-                obl(ver);
+                return; // the crash already dropped the obligation
+            const PersistObligation &o = obligations.at(chain.head);
+            KeyReplica &kr = keyState(o.key);
+            image.atomicPersist(o.key, o.ver, arrival_order);
+            advancePersisted(kr.persistedVer, o.ver, arrival_order);
+            wakeWaiters(o.key);
+            fireObligations(chain);
         });
         return;
     }
@@ -464,7 +531,7 @@ ProtocolNode::startKeyPersist(KeyId key, Version ver, bool arrival_order,
     pf->busy = true;
     pf->activeVer = ver;
     pf->activeArrival = arrival_order;
-    pf->activeObligations = std::move(obligations);
+    pf->active = chain;
 
     if (cfg.valueLines == 1) {
         sim::Tick done_at = nvmDev.write(eq.now(), addrOf(key));
@@ -489,14 +556,16 @@ ProtocolNode::startKeyPersist(KeyId key, Version ver, bool arrival_order,
     if (!staleStaging.empty())
         settleStaleStaging(key);
     image.beginWrite(key, ver);
-    auto remaining = std::make_shared<std::uint32_t>(cfg.valueLines);
+    pf->linesLeft = cfg.valueLines;
     for (std::uint32_t i = 0; i < cfg.valueLines; ++i) {
         sim::Tick t = nvmDev.write(eq.now(), addrOf(key) + 64ull * i);
-        eq.schedule(t, [this, ep, key, remaining] {
+        eq.schedule(t, [this, ep, key] {
             if (ep != currentEpoch)
                 return; // this line never reached the medium
             image.lineWritten(key);
-            if (--*remaining == 0)
+            // The record stays live (busy) until the commit lands.
+            if (--persistFlights.at(keyState(key).persistFlight)
+                      .linesLeft == 0)
                 onDataLinesDurable(key);
         });
     }
@@ -513,7 +582,7 @@ ProtocolNode::onDataLinesDurable(KeyId key)
         return;
     }
     sim::Tick t = nvmDev.write(eq.now(), commitAddrOf(key));
-    ctr.add("commit_records_written");
+    hot.commitRecordsWritten.add();
     eq.schedule(t, [this, ep, key] {
         if (ep != currentEpoch)
             return; // crash before the commit record: torn at recovery
@@ -536,12 +605,10 @@ ProtocolNode::onKeyPersistDone(KeyId key)
 
     // Woken requests may have coalesced more work into the record;
     // slab cells never move, so pf stays valid.
-    Version covered = pf.activeVer;
-    std::vector<PersistObligation> fired = std::move(pf.activeObligations);
-    pf.activeObligations.clear();
+    SlabFifo fired = pf.active;
+    pf.active = SlabFifo{};
     pf.busy = false;
-    for (auto &obl : fired)
-        obl(covered);
+    fireObligations(fired);
 
     // The obligations may have started a new write (any pending work
     // then waits for it); otherwise start the coalesced follow-up write
@@ -556,29 +623,96 @@ ProtocolNode::onKeyPersistDone(KeyId key)
     }
     Version next = rec->pendingVer;
     bool arrival = rec->pendingArrival;
-    std::vector<PersistObligation> obls =
-        std::move(rec->pendingObligations);
-    rec->pendingObligations.clear();
+    SlabFifo obls = rec->pending;
+    rec->pending = SlabFifo{};
     rec->hasPending = false;
-    startKeyPersist(key, next, arrival, std::move(obls));
+    startKeyPersist(key, next, arrival, obls);
+}
+
+// --------------------------------------------------------------------------
+// Client requests
+// --------------------------------------------------------------------------
+
+void
+ProtocolNode::admitRequest(OpKind kind, KeyId key, OpContext ctx,
+                           OpCompletion done, KeyId hi)
+{
+    std::uint64_t h = requests.alloc();
+    Request &rq = requests.at(h);
+    rq.kind = kind;
+    rq.key = key;
+    rq.hi = hi;
+    rq.cursor = key;
+    rq.issued = eq.now();
+    rq.done = std::move(done);
+    rq.octx = ctx;
+    sim::Tick op_cost = scaledCost(cfg.opProcessing);
+    sim::Tick admitted = cores.acquire(eq.now(), op_cost);
+    rq.acc.add(sim::Phase::CoreQueue, admitted - eq.now() - op_cost);
+    rq.acc.add(sim::Phase::Service, op_cost);
+    scheduleRequest(admitted, h);
+}
+
+void
+ProtocolNode::scheduleRequest(sim::Tick when, std::uint64_t req)
+{
+    std::uint32_t ep = currentEpoch;
+    eq.schedule(when, [this, ep, req] {
+        if (ep != currentEpoch) {
+            requests.free(req); // a crash killed the request
+            return;
+        }
+        runRequest(req);
+    });
+}
+
+void
+ProtocolNode::runRequest(std::uint64_t req)
+{
+    switch (requests.at(req).kind) {
+      case OpKind::Read:
+        execRead(req);
+        break;
+      case OpKind::Write:
+        execWrite(req);
+        break;
+      case OpKind::Scan:
+        // Re-entry after the walk charge finds every key cleared and
+        // the walk done, so it falls straight through to completion.
+        execScan(req);
+        break;
+      default:
+        assert(false && "requests are reads, writes or scans");
+        break;
+    }
+}
+
+OpResult
+ProtocolNode::requestResult(const Request &rq) const
+{
+    OpResult res;
+    res.kind = rq.kind;
+    res.key = rq.key;
+    res.node = self;
+    res.issuedAt = rq.issued;
+    res.completedAt = eq.now();
+    res.phases = rq.acc;
+    return res;
+}
+
+void
+ProtocolNode::completeRequest(std::uint64_t req, const OpResult &res)
+{
+    // Free first: the callback may issue the client's next request,
+    // which can then reuse this cell.
+    OpCompletion done = std::move(requests.at(req).done);
+    requests.free(req);
+    done(res);
 }
 
 // --------------------------------------------------------------------------
 // Client reads
 // --------------------------------------------------------------------------
-
-struct ProtocolNode::ReadCtx
-{
-    sim::Tick issued = 0;
-    OpCompletion done;
-    OpContext octx;
-    bool charged = false;
-    bool countedVisibility = false;
-    bool countedPersist = false;
-    std::uint32_t conflictAttempts = 0;
-    /** Phase attribution; sums to completedAt - issued at completion. */
-    sim::PhaseAccum acc{};
-};
 
 void
 ProtocolNode::clientRead(KeyId key, OpContext ctx, OpCompletion done)
@@ -600,34 +734,20 @@ ProtocolNode::clientRead(KeyId key, OpContext ctx, OpCompletion done)
         done(res);
         return;
     }
-    auto rc = std::make_shared<ReadCtx>();
-    rc->issued = eq.now();
-    rc->done = std::move(done);
-    rc->octx = ctx;
-    sim::Tick op_cost = scaledCost(cfg.opProcessing);
-    sim::Tick admitted = cores.acquire(eq.now(), op_cost);
-    rc->acc.add(sim::Phase::CoreQueue, admitted - eq.now() - op_cost);
-    rc->acc.add(sim::Phase::Service, op_cost);
-    std::uint32_t ep = currentEpoch;
-    eq.schedule(admitted, [this, ep, key, rc] {
-        if (ep == currentEpoch)
-            execRead(key, rc);
-    });
+    admitRequest(OpKind::Read, key, ctx, std::move(done));
 }
 
 void
-ProtocolNode::execRead(KeyId key, std::shared_ptr<ReadCtx> rc)
+ProtocolNode::execRead(std::uint64_t req)
 {
-    if (!rc->charged) {
-        rc->charged = true;
+    Request &rq = requests.at(req);
+    const KeyId key = rq.key;
+    if (!rq.charged) {
+        rq.charged = true;
         sim::Tick extra = chargeLocalAccess(key, false);
         if (extra > 0) {
-            rc->acc.add(sim::Phase::MemAccess, extra);
-            std::uint32_t ep = currentEpoch;
-            eq.scheduleIn(extra, [this, ep, key, rc] {
-                if (ep == currentEpoch)
-                    execRead(key, std::move(rc));
-            });
+            rq.acc.add(sim::Phase::MemAccess, extra);
+            scheduleRequest(eq.now() + extra, req);
             return;
         }
     }
@@ -639,10 +759,8 @@ ProtocolNode::execRead(KeyId key, std::shared_ptr<ReadCtx> rc)
     // or lost-suffix value must never be served.
     if (keyCold(key)) {
         ctr.add("reads_stalled_recovery");
-        parkWaiter(key, {Waiter::Kind::KeyWarm, Version{},
-                         [this, key, rc] { execRead(key, rc); },
-                         eq.now(), &rc->acc,
-                         sim::Phase::RecoveryStall});
+        parkWaiter(key, Waiter::Kind::KeyWarm, Version{}, req,
+                   sim::Phase::RecoveryStall);
         if (keyTemp[key] == KeyTemp::Cold)
             startFaultIn(key);
         return;
@@ -654,64 +772,48 @@ ProtocolNode::execRead(KeyId key, std::shared_ptr<ReadCtx> rc)
     // Transactional bookkeeping and conflict detection (reads inside a
     // transaction never stall; conflicts squash the transaction).
     bool xact_read =
-        c == Consistency::Transactional && rc->octx.xactId != 0;
+        c == Consistency::Transactional && rq.octx.xactId != 0;
     if (xact_read) {
-        auto it = xactRecs.find(rc->octx.xactId);
+        auto it = xactRecs.find(rq.octx.xactId);
         if (it == xactRecs.end() || it->second.aborted) {
-            OpResult res;
-            res.kind = OpKind::Read;
-            res.key = key;
-            res.node = self;
-            res.issuedAt = rc->issued;
-            res.completedAt = eq.now();
+            OpResult res = requestResult(rq);
             res.aborted = true;
-            res.phases = rc->acc;
-            rc->done(res);
+            completeRequest(req, res);
             return;
         }
         if (xactTable &&
-            xactTable->accessConflicts(rc->octx.xactId, key, false,
+            xactTable->accessConflicts(rq.octx.xactId, key, false,
                                        eq.now(), cfg.xactConflictWindow)) {
             ctr.add("xact_conflicts");
             if (!it->second.hadConflict) {
                 it->second.hadConflict = true;
                 ctr.add("xact_conflicted");
             }
-            if (rc->conflictAttempts < cfg.xactConflictRetries) {
+            if (rq.conflictAttempts < cfg.xactConflictRetries) {
                 // Stall flavor: wait for the conflicting transaction to
                 // drain, then retry (wasting core time on re-admission).
-                ++rc->conflictAttempts;
+                ++rq.conflictAttempts;
                 ctr.add("xact_conflict_stalls");
-                std::uint32_t ep = currentEpoch;
                 sim::Tick t = cores.acquire(
                     eq.now() + cfg.xactConflictRetryDelay,
                     cfg.stallRetryCost);
-                rc->acc.add(sim::Phase::ConflictRetry,
-                            cfg.xactConflictRetryDelay);
-                rc->acc.add(sim::Phase::CoreQueue,
-                            t - eq.now() - cfg.xactConflictRetryDelay -
-                                cfg.stallRetryCost);
-                rc->acc.add(sim::Phase::Service, cfg.stallRetryCost);
+                rq.acc.add(sim::Phase::ConflictRetry,
+                           cfg.xactConflictRetryDelay);
+                rq.acc.add(sim::Phase::CoreQueue,
+                           t - eq.now() - cfg.xactConflictRetryDelay -
+                               cfg.stallRetryCost);
+                rq.acc.add(sim::Phase::Service, cfg.stallRetryCost);
                 if (trace)
                     trace->instant(tracePid, 0, "conflict_retry",
                                    eq.now(), "key", key);
-                eq.schedule(t, [this, ep, key, rc] {
-                    if (ep == currentEpoch)
-                        execRead(key, rc);
-                });
+                scheduleRequest(t, req);
                 return;
             }
             // Squash flavor: retries exhausted.
             it->second.aborted = true;
-            OpResult res;
-            res.kind = OpKind::Read;
-            res.key = key;
-            res.node = self;
-            res.issuedAt = rc->issued;
-            res.completedAt = eq.now();
+            OpResult res = requestResult(rq);
             res.aborted = true;
-            res.phases = rc->acc;
-            rc->done(res);
+            completeRequest(req, res);
             return;
         }
         // Read-your-own-writes: the latest uncommitted write of this
@@ -719,16 +821,10 @@ ProtocolNode::execRead(KeyId key, std::shared_ptr<ReadCtx> rc)
         for (auto w = it->second.writes.rbegin();
              w != it->second.writes.rend(); ++w) {
             if (w->key == key) {
-                OpResult res;
-                res.kind = OpKind::Read;
-                res.key = key;
-                res.node = self;
-                res.issuedAt = rc->issued;
-                res.completedAt = eq.now();
+                OpResult res = requestResult(rq);
                 res.version = w->ver;
-                res.phases = rc->acc;
-                ctr.add("reads_completed");
-                rc->done(res);
+                hot.readsCompleted.add();
+                completeRequest(req, res);
                 return;
             }
         }
@@ -739,17 +835,15 @@ ProtocolNode::execRead(KeyId key, std::shared_ptr<ReadCtx> rc)
     if ((c == Consistency::Linearizable ||
          c == Consistency::ReadEnforced) &&
         kr.transient) {
-        if (!rc->countedVisibility) {
-            rc->countedVisibility = true;
-            ctr.add("reads_stalled_visibility");
+        if (!rq.countedVisibility) {
+            rq.countedVisibility = true;
+            hot.readsStalledVisibility.add();
         }
         if (trace)
             trace->instant(tracePid, 0, "visibility_stall", eq.now(),
                            "key", key);
-        parkWaiter(key, {Waiter::Kind::KeyValid, Version{},
-                         [this, key, rc] { execRead(key, rc); },
-                         eq.now(), &rc->acc,
-                         sim::Phase::VisibilityStall});
+        parkWaiter(key, Waiter::Kind::KeyValid, Version{}, req,
+                   sim::Phase::VisibilityStall);
         return;
     }
 
@@ -762,29 +856,29 @@ ProtocolNode::execRead(KeyId key, std::shared_ptr<ReadCtx> rc)
         bool must_wait = global ? kr.volatileVer > kr.globalPersistVer
                                 : kr.volatileVer > kr.persistedVer;
         if (must_wait) {
-            if (!rc->countedPersist) {
-                rc->countedPersist = true;
-                ctr.add("reads_stalled_persist");
+            if (!rq.countedPersist) {
+                rq.countedPersist = true;
+                hot.readsStalledPersist.add();
             }
             if (trace)
                 trace->instant(tracePid, 0, "persist_stall", eq.now(),
                                "key", key);
-            parkWaiter(key, {global ? Waiter::Kind::GlobalPersist
-                                    : Waiter::Kind::LocalPersist,
-                             kr.volatileVer,
-                             [this, key, rc] { execRead(key, rc); },
-                             eq.now(), &rc->acc,
-                             sim::Phase::PersistStall});
+            parkWaiter(key,
+                       global ? Waiter::Kind::GlobalPersist
+                              : Waiter::Kind::LocalPersist,
+                       kr.volatileVer, req, sim::Phase::PersistStall);
             return;
         }
     }
 
-    finishRead(key, rc);
+    finishRead(req);
 }
 
 void
-ProtocolNode::finishRead(KeyId key, const std::shared_ptr<ReadCtx> &rc)
+ProtocolNode::finishRead(std::uint64_t req)
 {
+    const Request &rq = requests.at(req);
+    const KeyId key = rq.key;
     KeyReplica &kr = keyState(key);
     const Consistency c = cfg.model.consistency;
     const Persistency p = cfg.model.persistency;
@@ -798,42 +892,21 @@ ProtocolNode::finishRead(KeyId key, const std::shared_ptr<ReadCtx> &rc)
         ver = kr.persistedVer;
     }
 
-    OpResult res;
-    res.kind = OpKind::Read;
-    res.key = key;
-    res.node = self;
-    res.issuedAt = rc->issued;
-    res.completedAt = eq.now();
+    OpResult res = requestResult(rq);
     res.version = ver;
-    res.phases = rc->acc;
-    ctr.add("reads_completed");
+    hot.readsCompleted.add();
     if (sink)
-        sink->onRead(cfg.observerIdOffset + self, key, ver, rc->issued,
+        sink->onRead(cfg.observerIdOffset + self, key, ver, rq.issued,
                      eq.now());
     if (trace)
-        trace->async(tracePid, "read", ++traceSpanId, rc->issued,
+        trace->async(tracePid, "read", ++traceSpanId, rq.issued,
                      eq.now());
-    rc->done(res);
+    completeRequest(req, res);
 }
 
 // --------------------------------------------------------------------------
 // Client scans (YCSB-E)
 // --------------------------------------------------------------------------
-
-struct ProtocolNode::ScanCtx
-{
-    sim::Tick issued = 0;
-    OpCompletion done;
-    OpContext octx;
-    KeyId lo = 0;
-    KeyId hi = 0;     ///< inclusive upper bound (clamped to key space)
-    KeyId cursor = 0; ///< next key awaiting semantic clearance
-    bool charged = false;
-    bool walked = false;
-    std::uint64_t visited = 0;
-    /** Phase attribution; sums to completedAt - issued at completion. */
-    sim::PhaseAccum acc{};
-};
 
 void
 ProtocolNode::clientScan(KeyId key, std::uint32_t len, OpContext ctx,
@@ -844,39 +917,23 @@ ProtocolNode::clientScan(KeyId key, std::uint32_t len, OpContext ctx,
     // Scans are primary (never speculative) work, so they are never
     // shed; the call still feeds the controller's sojourn estimate.
     admissionShed(false);
-    auto sc = std::make_shared<ScanCtx>();
-    sc->issued = eq.now();
-    sc->done = std::move(done);
-    sc->octx = ctx;
-    sc->lo = key < cfg.keyCount ? key : cfg.keyCount - 1;
+    KeyId lo = key < cfg.keyCount ? key : cfg.keyCount - 1;
     std::uint64_t span = len > 0 ? len : 1;
-    sc->hi = sc->lo + span - 1 >= cfg.keyCount ? cfg.keyCount - 1
-                                               : sc->lo + span - 1;
-    sc->cursor = sc->lo;
-    sim::Tick op_cost = scaledCost(cfg.opProcessing);
-    sim::Tick admitted = cores.acquire(eq.now(), op_cost);
-    sc->acc.add(sim::Phase::CoreQueue, admitted - eq.now() - op_cost);
-    sc->acc.add(sim::Phase::Service, op_cost);
-    std::uint32_t ep = currentEpoch;
-    eq.schedule(admitted, [this, ep, sc] {
-        if (ep == currentEpoch)
-            execScan(sc);
-    });
+    KeyId hi = lo + span - 1 >= cfg.keyCount ? cfg.keyCount - 1
+                                             : lo + span - 1;
+    admitRequest(OpKind::Scan, lo, ctx, std::move(done), hi);
 }
 
 void
-ProtocolNode::execScan(std::shared_ptr<ScanCtx> sc)
+ProtocolNode::execScan(std::uint64_t req)
 {
-    if (!sc->charged) {
-        sc->charged = true;
-        sim::Tick extra = chargeLocalAccess(sc->lo, false);
+    Request &rq = requests.at(req);
+    if (!rq.charged) {
+        rq.charged = true;
+        sim::Tick extra = chargeLocalAccess(rq.key, false);
         if (extra > 0) {
-            sc->acc.add(sim::Phase::MemAccess, extra);
-            std::uint32_t ep = currentEpoch;
-            eq.scheduleIn(extra, [this, ep, sc] {
-                if (ep == currentEpoch)
-                    execScan(std::move(sc));
-            });
+            rq.acc.add(sim::Phase::MemAccess, extra);
+            scheduleRequest(eq.now() + extra, req);
             return;
         }
     }
@@ -887,13 +944,12 @@ ProtocolNode::execScan(std::shared_ptr<ScanCtx> sc)
     // Semantic clearance, key by key: a scan may not leak a version a
     // point read of the same key would have stalled on. The cursor
     // survives parks, so each key is cleared at most once per pass.
-    while (sc->cursor <= sc->hi) {
-        KeyId k = sc->cursor;
+    while (rq.cursor <= rq.hi) {
+        KeyId k = rq.cursor;
         if (keyCold(k)) {
             ctr.add("scans_stalled_recovery");
-            parkWaiter(k, {Waiter::Kind::KeyWarm, Version{},
-                           [this, sc] { execScan(sc); }, eq.now(),
-                           &sc->acc, sim::Phase::RecoveryStall});
+            parkWaiter(k, Waiter::Kind::KeyWarm, Version{}, req,
+                       sim::Phase::RecoveryStall);
             if (keyTemp[k] == KeyTemp::Cold)
                 startFaultIn(k);
             return;
@@ -906,9 +962,8 @@ ProtocolNode::execScan(std::shared_ptr<ScanCtx> sc)
             if (trace)
                 trace->instant(tracePid, 0, "scan_visibility_stall",
                                eq.now(), "key", k);
-            parkWaiter(k, {Waiter::Kind::KeyValid, Version{},
-                           [this, sc] { execScan(sc); }, eq.now(),
-                           &sc->acc, sim::Phase::VisibilityStall});
+            parkWaiter(k, Waiter::Kind::KeyValid, Version{}, req,
+                       sim::Phase::VisibilityStall);
             return;
         }
         if (p == Persistency::ReadEnforced) {
@@ -921,41 +976,37 @@ ProtocolNode::execScan(std::shared_ptr<ScanCtx> sc)
                 if (trace)
                     trace->instant(tracePid, 0, "scan_persist_stall",
                                    eq.now(), "key", k);
-                parkWaiter(k, {global ? Waiter::Kind::GlobalPersist
-                                      : Waiter::Kind::LocalPersist,
-                               kr.volatileVer,
-                               [this, sc] { execScan(sc); }, eq.now(),
-                               &sc->acc, sim::Phase::PersistStall});
+                parkWaiter(k,
+                           global ? Waiter::Kind::GlobalPersist
+                                  : Waiter::Kind::LocalPersist,
+                           kr.volatileVer, req, sim::Phase::PersistStall);
                 return;
             }
         }
-        ++sc->cursor;
+        ++rq.cursor;
     }
 
-    finishScan(sc);
+    finishScan(req);
 }
 
 void
-ProtocolNode::finishScan(const std::shared_ptr<ScanCtx> &sc)
+ProtocolNode::finishScan(std::uint64_t req)
 {
-    if (!sc->walked) {
+    Request &rq = requests.at(req);
+    if (!rq.walked) {
         // Every key in range is cleared; now walk the ordered
         // structure once and charge the traversal like a point op's
         // probe cost (skip-list descent or B+-tree leaf chain — the
         // backend reports what it actually touched).
-        sc->walked = true;
-        sc->visited = backend->rangeScan(sc->lo, sc->hi,
-                                         [](kv::KeyId, kv::Value) {});
+        rq.walked = true;
+        rq.visited = backend->rangeScan(rq.key, rq.hi,
+                                        [](kv::KeyId, kv::Value) {});
         sim::Tick extra = scaledCost(
             static_cast<sim::Tick>(backend->lastProbes()) *
             cfg.probeCost);
         if (extra > 0) {
-            sc->acc.add(sim::Phase::MemAccess, extra);
-            std::uint32_t ep = currentEpoch;
-            eq.scheduleIn(extra, [this, ep, sc] {
-                if (ep == currentEpoch)
-                    finishScan(sc);
-            });
+            rq.acc.add(sim::Phase::MemAccess, extra);
+            scheduleRequest(eq.now() + extra, req);
             return;
         }
     }
@@ -963,7 +1014,7 @@ ProtocolNode::finishScan(const std::shared_ptr<ScanCtx> &sc)
     // The binding that serves persisted versions on point reads does so
     // for scans too (paper Fig. 2(f)): report the recoverable version
     // of the first key as the scan's version tag.
-    KeyReplica &kr = keyState(sc->lo);
+    KeyReplica &kr = keyState(rq.key);
     Version ver = kr.volatileVer;
     if (cfg.model.persistency == Persistency::Synchronous &&
         (cfg.model.consistency == Consistency::Causal ||
@@ -971,36 +1022,19 @@ ProtocolNode::finishScan(const std::shared_ptr<ScanCtx> &sc)
         ver = kr.persistedVer;
     }
 
-    OpResult res;
-    res.kind = OpKind::Scan;
-    res.key = sc->lo;
-    res.node = self;
-    res.issuedAt = sc->issued;
-    res.completedAt = eq.now();
+    OpResult res = requestResult(rq);
     res.version = ver;
-    res.phases = sc->acc;
-    ctr.add("scans_completed");
-    ctr.add("scan_keys_visited", sc->visited);
+    hot.scansCompleted.add();
+    hot.scanKeysVisited.add(rq.visited);
     if (trace)
-        trace->async(tracePid, "scan", ++traceSpanId, sc->issued,
+        trace->async(tracePid, "scan", ++traceSpanId, rq.issued,
                      eq.now());
-    sc->done(res);
+    completeRequest(req, res);
 }
 
 // --------------------------------------------------------------------------
 // Client writes
 // --------------------------------------------------------------------------
-
-struct ProtocolNode::WriteCtx
-{
-    sim::Tick issued = 0;
-    OpCompletion done;
-    OpContext octx;
-    bool charged = false;
-    std::uint32_t conflictAttempts = 0;
-    /** Phase attribution; sums to completedAt - issued at completion. */
-    sim::PhaseAccum acc{};
-};
 
 void
 ProtocolNode::clientWrite(KeyId key, OpContext ctx, OpCompletion done)
@@ -1008,55 +1042,35 @@ ProtocolNode::clientWrite(KeyId key, OpContext ctx, OpCompletion done)
     if (downFlag)
         return; // dead coordinator: the client's request timeout fires
     admissionShed(false); // writes are never shed; still track sojourn
-    auto wc = std::make_shared<WriteCtx>();
-    wc->issued = eq.now();
-    wc->done = std::move(done);
-    wc->octx = ctx;
-    sim::Tick op_cost = scaledCost(cfg.opProcessing);
-    sim::Tick admitted = cores.acquire(eq.now(), op_cost);
-    wc->acc.add(sim::Phase::CoreQueue, admitted - eq.now() - op_cost);
-    wc->acc.add(sim::Phase::Service, op_cost);
-    std::uint32_t ep = currentEpoch;
-    eq.schedule(admitted, [this, ep, key, wc] {
-        if (ep == currentEpoch)
-            execWrite(key, wc);
-    });
+    admitRequest(OpKind::Write, key, ctx, std::move(done));
 }
 
 void
-ProtocolNode::execWrite(KeyId key, std::shared_ptr<WriteCtx> wc)
+ProtocolNode::execWrite(std::uint64_t req)
 {
+    Request &rq = requests.at(req);
+    const KeyId key = rq.key;
     // Exactly-once retransmits: a failed-over client re-sends a write
     // under its original (clientId, clientSeq); if any surviving
     // replica already applied it, acknowledge instead of re-executing.
-    if (wc->octx.clientSeq != 0) {
-        auto seen = clientSeqSeen.find(wc->octx.clientId);
+    if (rq.octx.clientSeq != 0) {
+        auto seen = clientSeqSeen.find(rq.octx.clientId);
         if (seen != clientSeqSeen.end() &&
-            wc->octx.clientSeq <= seen->second) {
+            rq.octx.clientSeq <= seen->second) {
             ctr.add("client_retransmits_deduped");
-            OpResult res;
-            res.kind = OpKind::Write;
-            res.key = key;
-            res.node = self;
-            res.issuedAt = wc->issued;
-            res.completedAt = eq.now();
+            OpResult res = requestResult(rq);
             res.version = keyState(key).volatileVer;
-            res.phases = wc->acc;
-            wc->done(res);
+            completeRequest(req, res);
             return;
         }
     }
 
-    if (!wc->charged) {
-        wc->charged = true;
+    if (!rq.charged) {
+        rq.charged = true;
         sim::Tick extra = chargeLocalAccess(key, true);
         if (extra > 0) {
-            wc->acc.add(sim::Phase::MemAccess, extra);
-            std::uint32_t ep = currentEpoch;
-            eq.scheduleIn(extra, [this, ep, key, wc] {
-                if (ep == currentEpoch)
-                    execWrite(key, std::move(wc));
-            });
+            rq.acc.add(sim::Phase::MemAccess, extra);
+            scheduleRequest(eq.now() + extra, req);
             return;
         }
     }
@@ -1067,10 +1081,8 @@ ProtocolNode::execWrite(KeyId key, std::shared_ptr<WriteCtx> wc)
     // ordered against what actually survived the crash.
     if (keyCold(key)) {
         ctr.add("writes_stalled_recovery");
-        parkWaiter(key, {Waiter::Kind::KeyWarm, Version{},
-                         [this, key, wc] { execWrite(key, wc); },
-                         eq.now(), &wc->acc,
-                         sim::Phase::RecoveryStall});
+        parkWaiter(key, Waiter::Kind::KeyWarm, Version{}, req,
+                   sim::Phase::RecoveryStall);
         if (keyTemp[key] == KeyTemp::Cold)
             startFaultIn(key);
         return;
@@ -1079,28 +1091,29 @@ ProtocolNode::execWrite(KeyId key, std::shared_ptr<WriteCtx> wc)
     switch (cfg.model.consistency) {
       case Consistency::Linearizable:
       case Consistency::ReadEnforced:
-        startAckRoundWrite(key, wc);
+        startAckRoundWrite(req);
         break;
       case Consistency::Transactional:
-        if (wc->octx.xactId != 0) {
-            startXactWrite(key, wc);
+        if (rq.octx.xactId != 0) {
+            startXactWrite(req);
         } else {
             // A write outside any transaction degenerates to a strict
             // invalidation round.
-            startAckRoundWrite(key, wc);
+            startAckRoundWrite(req);
         }
         break;
       case Consistency::Causal:
       case Consistency::Eventual:
-        startPropagatedWrite(key, wc);
+        startPropagatedWrite(req);
         break;
     }
 }
 
 void
-ProtocolNode::startAckRoundWrite(KeyId key,
-                                 const std::shared_ptr<WriteCtx> &wc)
+ProtocolNode::startAckRoundWrite(std::uint64_t req)
 {
+    Request &rq = requests.at(req);
+    const KeyId key = rq.key;
     KeyReplica &kr = keyState(key);
     // One in-flight invalidation round per key per coordinator; later
     // writes (and rounds racing a remote INV) queue.
@@ -1108,14 +1121,13 @@ ProtocolNode::startAckRoundWrite(KeyId key,
         if (trace)
             trace->instant(tracePid, 0, "write_slot", eq.now(), "key",
                            key);
-        parkWaiter(key, {Waiter::Kind::WriteSlot, Version{},
-                         [this, key, wc] { execWrite(key, wc); },
-                         eq.now(), &wc->acc,
-                         sim::Phase::VisibilityStall});
+        parkWaiter(key, Waiter::Kind::WriteSlot, Version{}, req,
+                   sim::Phase::VisibilityStall);
         return;
     }
 
     const Persistency p = cfg.model.persistency;
+    const OpContext octx = rq.octx;
     Version ver = allocateVersion(key);
     // The round id IS the slab handle: deterministic (LIFO free list),
     // and echoed acks for freed rounds go stale instead of aliasing.
@@ -1124,21 +1136,22 @@ ProtocolNode::startAckRoundWrite(KeyId key,
     round.kind = Round::Kind::Write;
     round.key = key;
     round.ver = ver;
-    round.scopeId = wc->octx.scopeId;
+    round.scopeId = octx.scopeId;
     round.followersNeeded = liveFollowerCount(key);
-    round.issuedAt = wc->issued;
-    round.clientId = wc->octx.clientId;
-    round.clientSeq = wc->octx.clientSeq;
-    round.done = wc->done;
-    round.phases = wc->acc;
+    round.issuedAt = rq.issued;
+    round.clientId = octx.clientId;
+    round.clientSeq = octx.clientSeq;
+    round.done = std::move(rq.done);
+    round.phases = rq.acc;
     round.startedAt = eq.now();
     round.waitPhase = sim::Phase::Replication;
+    requests.free(req); // the round owns the completion now
 
     kr.pendingOpId = round_id;
     kr.transient = true;
     kr.transientVer = ver;
-    if (wc->octx.clientSeq != 0)
-        noteClientSeq(wc->octx.clientId, wc->octx.clientSeq);
+    if (octx.clientSeq != 0)
+        noteClientSeq(octx.clientId, octx.clientSeq);
 
     // Local durability per the persistency model.
     if (p == Persistency::Strict || p == Persistency::Synchronous ||
@@ -1146,7 +1159,7 @@ ProtocolNode::startAckRoundWrite(KeyId key,
         round.pendingLocalPersists = 1;
         issuePersist(key, ver, round_id, false, 0, 0, false);
     } else if (p == Persistency::Scope) {
-        scopeBuffers[wc->octx.scopeId].emplace_back(key, ver);
+        scopeBuffers[octx.scopeId].emplace_back(key, ver);
     } else { // Eventual persistency: lazy background persist
         std::uint32_t ep = currentEpoch;
         eq.scheduleIn(cfg.lazyPersistDelay, [this, ep, key, ver] {
@@ -1158,11 +1171,11 @@ ProtocolNode::startAckRoundWrite(KeyId key,
     Message inv = makeMsg(MsgType::Inv, key, ver, round_id);
     inv.hasData = true;
     inv.dataLines = cfg.valueLines;
-    inv.scopeId = wc->octx.scopeId;
-    inv.clientId = wc->octx.clientId;
-    inv.clientSeq = wc->octx.clientSeq;
-    multicast(key, inv);
-    ctr.add("inv_sent", rmap.followerCount(key));
+    inv.scopeId = octx.scopeId;
+    inv.clientId = octx.clientId;
+    inv.clientSeq = octx.clientSeq;
+    multicast(key, std::move(inv));
+    hot.invSent.add(rmap.followerCount(key));
 
     // Read-Enforced consistency acknowledges the client immediately
     // (unless Strict persistency also demands global durability first).
@@ -1174,21 +1187,16 @@ ProtocolNode::startAckRoundWrite(KeyId key,
 }
 
 void
-ProtocolNode::startXactWrite(KeyId key,
-                             const std::shared_ptr<WriteCtx> &wc)
+ProtocolNode::startXactWrite(std::uint64_t req)
 {
-    auto it = xactRecs.find(wc->octx.xactId);
-    OpResult res;
-    res.kind = OpKind::Write;
-    res.key = key;
-    res.node = self;
-    res.issuedAt = wc->issued;
+    Request &rq = requests.at(req);
+    const KeyId key = rq.key;
+    auto it = xactRecs.find(rq.octx.xactId);
 
     if (it == xactRecs.end() || it->second.aborted) {
-        res.completedAt = eq.now();
+        OpResult res = requestResult(rq);
         res.aborted = true;
-        res.phases = wc->acc;
-        wc->done(res);
+        completeRequest(req, res);
         return;
     }
     XactRecord &xr = it->second;
@@ -1201,44 +1209,40 @@ ProtocolNode::startXactWrite(KeyId key,
             xr.hadConflict = true;
             ctr.add("xact_conflicted");
         }
-        if (wc->conflictAttempts < cfg.xactConflictRetries) {
-            ++wc->conflictAttempts;
+        if (rq.conflictAttempts < cfg.xactConflictRetries) {
+            ++rq.conflictAttempts;
             ctr.add("xact_conflict_stalls");
-            std::uint32_t ep = currentEpoch;
             sim::Tick t = cores.acquire(
                 eq.now() + cfg.xactConflictRetryDelay,
                 cfg.stallRetryCost);
-            wc->acc.add(sim::Phase::ConflictRetry,
-                        cfg.xactConflictRetryDelay);
-            wc->acc.add(sim::Phase::CoreQueue,
-                        t - eq.now() - cfg.xactConflictRetryDelay -
-                            cfg.stallRetryCost);
-            wc->acc.add(sim::Phase::Service, cfg.stallRetryCost);
+            rq.acc.add(sim::Phase::ConflictRetry,
+                       cfg.xactConflictRetryDelay);
+            rq.acc.add(sim::Phase::CoreQueue,
+                       t - eq.now() - cfg.xactConflictRetryDelay -
+                           cfg.stallRetryCost);
+            rq.acc.add(sim::Phase::Service, cfg.stallRetryCost);
             if (trace)
                 trace->instant(tracePid, 0, "conflict_retry", eq.now(),
                                "key", key);
-            eq.schedule(t, [this, ep, key, wc] {
-                if (ep == currentEpoch)
-                    execWrite(key, wc);
-            });
+            scheduleRequest(t, req);
             return;
         }
         xr.aborted = true;
-        res.completedAt = eq.now();
+        OpResult res = requestResult(rq);
         res.aborted = true;
-        res.phases = wc->acc;
-        wc->done(res);
+        completeRequest(req, res);
         return;
     }
 
     const Persistency p = cfg.model.persistency;
+    const std::uint64_t scope_id = rq.octx.scopeId;
     Version ver = allocateVersion(key);
 
     // The write stays private to the transaction until ENDX: reads of
     // other clients keep seeing committed state (no dirty reads), and
     // an abort has nothing to roll back. The transaction reads its own
     // writes through its write set.
-    xr.writes.push_back({key, ver, wc->octx.scopeId});
+    xr.writes.push_back({key, ver, scope_id});
 
     std::uint64_t round_id = 0;
     if (p == Persistency::Strict) {
@@ -1250,12 +1254,13 @@ ProtocolNode::startXactWrite(KeyId key,
         round.ver = ver;
         round.xactId = xr.id;
         round.followersNeeded = liveFollowerCount(key);
-        round.issuedAt = wc->issued;
-        round.done = wc->done;
-        round.phases = wc->acc;
+        round.issuedAt = rq.issued;
+        round.done = std::move(rq.done);
+        round.phases = rq.acc;
         round.startedAt = eq.now();
         round.waitPhase = sim::Phase::Replication;
         round.pendingLocalPersists = 1;
+        requests.free(req); // the round owns the completion now
         issuePersist(key, ver, round_id, false, 0, 0, false);
     } else if (p == Persistency::ReadEnforced) {
         issuePersist(key, ver, 0, false, 0, 0, false);
@@ -1272,47 +1277,48 @@ ProtocolNode::startXactWrite(KeyId key,
     inv.hasData = true;
     inv.dataLines = cfg.valueLines;
     inv.xactId = xr.id;
-    inv.scopeId = wc->octx.scopeId;
-    multicast(key, inv);
-    ctr.add("inv_sent", rmap.followerCount(key));
+    inv.scopeId = scope_id;
+    multicast(key, std::move(inv));
+    hot.invSent.add(rmap.followerCount(key));
 
     if (p != Persistency::Strict) {
-        res.completedAt = eq.now();
+        OpResult res = requestResult(rq);
         res.version = ver;
-        res.phases = wc->acc;
-        ctr.add("writes_completed");
+        hot.writesCompleted.add();
         if (trace)
-            trace->async(tracePid, "write", ++traceSpanId, wc->issued,
+            trace->async(tracePid, "write", ++traceSpanId, rq.issued,
                          eq.now());
-        wc->done(res);
+        completeRequest(req, res);
     } else {
         checkRound(round_id);
     }
 }
 
 void
-ProtocolNode::startPropagatedWrite(KeyId key,
-                                   const std::shared_ptr<WriteCtx> &wc)
+ProtocolNode::startPropagatedWrite(std::uint64_t req)
 {
     const Consistency c = cfg.model.consistency;
     const Persistency p = cfg.model.persistency;
+    Request &rq = requests.at(req);
+    const KeyId key = rq.key;
+    const OpContext octx = rq.octx;
     KeyReplica &kr = keyState(key);
     Version ver = allocateVersion(key);
 
     kr.volatileVer = ver;
     backend->put(key, ver.number);
 
-    if (wc->octx.clientSeq != 0)
-        noteClientSeq(wc->octx.clientId, wc->octx.clientSeq);
+    if (octx.clientSeq != 0)
+        noteClientSeq(octx.clientId, octx.clientSeq);
 
     Message upd = makeMsg(MsgType::Upd, key, ver, 0);
     upd.hasData = true;
     upd.dataLines = cfg.valueLines;
-    upd.scopeId = wc->octx.scopeId;
-    upd.clientId = wc->octx.clientId;
-    upd.clientSeq = wc->octx.clientSeq;
+    upd.scopeId = octx.scopeId;
+    upd.clientId = octx.clientId;
+    upd.clientSeq = octx.clientSeq;
     if (c == Consistency::Causal) {
-        upd.cauhist = applied.raw();
+        upd.cauhist.assign(applied.raw().begin(), applied.raw().end());
         applied[self] += 1;
     }
 
@@ -1334,12 +1340,13 @@ ProtocolNode::startPropagatedWrite(KeyId key,
         round.key = key;
         round.ver = ver;
         round.followersNeeded = liveFollowerCount(key);
-        round.issuedAt = wc->issued;
-        round.done = wc->done;
-        round.phases = wc->acc;
+        round.issuedAt = rq.issued;
+        round.done = std::move(rq.done);
+        round.phases = rq.acc;
         round.startedAt = eq.now();
         round.waitPhase = sim::Phase::Replication;
         round.pendingLocalPersists = 1;
+        requests.free(req); // the round owns the completion now
         issuePersist(key, ver, round_id, false, 0, 0, false,
                      causal_origin, own_seq);
     } else if (p == Persistency::Synchronous ||
@@ -1347,7 +1354,7 @@ ProtocolNode::startPropagatedWrite(KeyId key,
         issuePersist(key, ver, 0, false, 0, 0, false, causal_origin,
                      own_seq);
     } else if (p == Persistency::Scope) {
-        scopeBuffers[wc->octx.scopeId].emplace_back(key, ver);
+        scopeBuffers[octx.scopeId].emplace_back(key, ver);
     } else { // Eventual persistency
         std::uint32_t ep = currentEpoch;
         eq.scheduleIn(cfg.lazyPersistDelay, [this, ep, key, ver] {
@@ -1360,25 +1367,19 @@ ProtocolNode::startPropagatedWrite(KeyId key,
         enqueueLazyUpd(std::move(upd));
     } else {
         multicast(key, std::move(upd));
-        ctr.add("upd_sent", rmap.followerCount(key));
+        hot.updSent.add(rmap.followerCount(key));
     }
 
     if (p != Persistency::Strict) {
-        OpResult res;
-        res.kind = OpKind::Write;
-        res.key = key;
-        res.node = self;
-        res.issuedAt = wc->issued;
-        res.completedAt = eq.now();
+        OpResult res = requestResult(rq);
         res.version = ver;
-        res.phases = wc->acc;
-        ctr.add("writes_completed");
+        hot.writesCompleted.add();
         if (sink)
             sink->onWriteComplete(key, ver, eq.now());
         if (trace)
-            trace->async(tracePid, "write", ++traceSpanId, wc->issued,
+            trace->async(tracePid, "write", ++traceSpanId, rq.issued,
                          eq.now());
-        wc->done(res);
+        completeRequest(req, res);
     } else {
         checkRound(round_id);
     }
@@ -1398,7 +1399,7 @@ ProtocolNode::clientInitXact(std::uint64_t xact_id, OpCompletion done)
     sim::Tick admitted = cores.acquire(eq.now(), op_cost);
     std::uint32_t ep = currentEpoch;
     eq.schedule(admitted, [this, ep, xact_id, issued, op_cost,
-                           done = std::move(done)] {
+                           done = std::move(done)]() mutable {
         if (ep != currentEpoch)
             return;
         XactRecord xr;
@@ -1415,7 +1416,7 @@ ProtocolNode::clientInitXact(std::uint64_t xact_id, OpCompletion done)
         round.xactId = xact_id;
         round.followersNeeded = liveFollowers();
         round.issuedAt = issued;
-        round.done = done;
+        round.done = std::move(done);
         round.phases.add(sim::Phase::CoreQueue,
                          eq.now() - issued - op_cost);
         round.phases.add(sim::Phase::Service, op_cost);
@@ -1458,7 +1459,7 @@ ProtocolNode::clientEndXact(std::uint64_t xact_id, bool commit,
     sim::Tick admitted = cores.acquire(eq.now(), op_cost);
     std::uint32_t ep = currentEpoch;
     eq.schedule(admitted, [this, ep, xact_id, commit, issued, op_cost,
-                           done = std::move(done)] {
+                           done = std::move(done)]() mutable {
         if (ep != currentEpoch)
             return;
         sim::PhaseAccum acc;
@@ -1507,7 +1508,7 @@ ProtocolNode::clientEndXact(std::uint64_t xact_id, bool commit,
         round.xactId = xact_id;
         round.followersNeeded = liveFollowers();
         round.issuedAt = issued;
-        round.done = done;
+        round.done = std::move(done);
         round.phases = acc;
         round.startedAt = eq.now();
         round.waitPhase = sim::Phase::XactCommit;
@@ -1548,7 +1549,7 @@ ProtocolNode::clientPersistScope(std::uint64_t scope_id, OpCompletion done)
     sim::Tick admitted = cores.acquire(eq.now(), op_cost);
     std::uint32_t ep = currentEpoch;
     eq.schedule(admitted, [this, ep, scope_id, issued, op_cost,
-                           done = std::move(done)] {
+                           done = std::move(done)]() mutable {
         if (ep != currentEpoch)
             return;
         // Under Eventual consistency the scope's UPDs may still be
@@ -1563,7 +1564,7 @@ ProtocolNode::clientPersistScope(std::uint64_t scope_id, OpCompletion done)
         round.scopeId = scope_id;
         round.followersNeeded = liveFollowers();
         round.issuedAt = issued;
-        round.done = done;
+        round.done = std::move(done);
         round.phases.add(sim::Phase::CoreQueue,
                          eq.now() - issued - op_cost);
         round.phases.add(sim::Phase::Service, op_cost);
@@ -1605,7 +1606,7 @@ ProtocolNode::completeWriteToClient(Round &round)
     res.version = round.ver;
     res.phases = round.phases;
     res.phases.add(round.waitPhase, eq.now() - round.startedAt);
-    ctr.add("writes_completed");
+    hot.writesCompleted.add();
     if (trace)
         trace->async(tracePid, "write", ++traceSpanId, round.issuedAt,
                      eq.now());
@@ -1834,7 +1835,7 @@ ProtocolNode::handleMessage(const Message &msg)
 {
     if (downFlag) {
         // Crashed and not yet restarted: the NIC is dark.
-        ctr.add("msgs_dropped_node_down");
+        hot.msgsDroppedNodeDown.add();
         return;
     }
     if (msg.epoch != currentEpoch)
@@ -1853,11 +1854,31 @@ ProtocolNode::handleMessage(const Message &msg)
     }
     cost = scaledCost(cost);
     sim::Tick admitted = cores.acquire(eq.now(), cost);
+    std::uint32_t idx;
+    if (!inboxFree.empty()) {
+        idx = inboxFree.back();
+        inboxFree.pop_back();
+        inbox[idx] = msg;
+    } else {
+        idx = static_cast<std::uint32_t>(inbox.size());
+        inbox.push_back(msg);
+    }
     std::uint32_t ep = currentEpoch;
-    eq.schedule(admitted, [this, ep, msg] {
+    eq.schedule(admitted, [this, ep, idx] {
+        Message m = takeInbound(idx);
         if (ep == currentEpoch)
-            processMessage(msg);
+            processMessage(m);
     });
+}
+
+Message
+ProtocolNode::takeInbound(std::uint32_t idx)
+{
+    // Moved out before processing: a handler may park further
+    // arrivals, which can grow (and move) the inbox.
+    Message m = std::move(inbox[idx]);
+    inboxFree.push_back(idx);
+    return m;
 }
 
 void
@@ -1982,7 +2003,7 @@ ProtocolNode::handleAck(const Message &msg)
     // clear() bumped every generation) dereferences to null here.
     Round *rp = rounds.get(msg.opId);
     if (rp == nullptr) {
-        ctr.add("acks_unmatched");
+        hot.acksUnmatched.add();
         return;
     }
     Round &r = *rp;
@@ -2038,7 +2059,7 @@ ProtocolNode::handleVal(const Message &msg)
 }
 
 bool
-ProtocolNode::causalDepsSatisfied(const VectorClock &deps) const
+ProtocolNode::causalDepsSatisfied(const net::CausalHistory &deps) const
 {
     // Strict and Synchronous persistency bind durability to the VP:
     // an update may only become visible (and be persisted) after its
@@ -2047,20 +2068,27 @@ ProtocolNode::causalDepsSatisfied(const VectorClock &deps) const
     const Persistency p = cfg.model.persistency;
     if (cfg.causalDurableGating &&
         (p == Persistency::Strict || p == Persistency::Synchronous))
-        return durableApplied.dominates(deps);
-    return applied.dominates(deps);
+        return durableApplied.dominates(
+            std::span<const std::uint64_t>(deps.data(), deps.size()));
+    return applied.dominates(
+        std::span<const std::uint64_t>(deps.data(), deps.size()));
 }
 
 void
 ProtocolNode::noteCausalDurable(NodeId origin, std::uint64_t seq)
 {
     // Persists can complete out of order across NVM banks; advance the
-    // durable clock contiguously.
-    pendingDurable[origin].insert(seq);
-    auto &set = pendingDurable[origin];
-    while (!set.empty() && *set.begin() == durableApplied[origin] + 1) {
-        durableApplied[origin] = *set.begin();
-        set.erase(set.begin());
+    // durable clock contiguously. The pending list is sorted
+    // descending (duplicates dropped), so its lowest entry is last.
+    std::vector<std::uint64_t> &pending = pendingDurable[origin];
+    auto pos = std::lower_bound(pending.begin(), pending.end(), seq,
+                                std::greater<>());
+    if (pos == pending.end() || *pos != seq)
+        pending.insert(pos, seq);
+    while (!pending.empty() &&
+           pending.back() == durableApplied[origin] + 1) {
+        durableApplied[origin] = pending.back();
+        pending.pop_back();
     }
 }
 
@@ -2068,17 +2096,23 @@ void
 ProtocolNode::handleUpd(const Message &msg)
 {
     if (cfg.model.consistency == Consistency::Causal) {
-        VectorClock deps = VectorClock::fromRaw(msg.cauhist);
         // Per-origin FIFO order must be preserved: if earlier UPDs
         // from this origin are still buffered, this one queues behind
         // them even if its own dependencies happen to be satisfied.
-        if (causalBuffer[msg.src].empty() && causalDepsSatisfied(deps)) {
+        SlabFifo &queue = causalBuffer[msg.src];
+        if (queue.head == 0 && causalDepsSatisfied(msg.cauhist)) {
             applyCausalUpd(msg);
             drainCausalBuffer();
         } else {
-            causalBuffer[msg.src].push_back(msg);
+            std::uint64_t h = bufferedUpds.alloc();
+            bufferedUpds.at(h).msg = msg;
+            if (queue.tail == 0)
+                queue.head = h;
+            else
+                bufferedUpds.at(queue.tail).next = h;
+            queue.tail = h;
             ++causalBuffered;
-            ctr.add("causal_buffered");
+            hot.causalBuffered.add();
             if (causalBuffered > causalPeak)
                 causalPeak = causalBuffered;
         }
@@ -2119,9 +2153,8 @@ ProtocolNode::handleUpd(const Message &msg)
 void
 ProtocolNode::applyCausalUpd(const Message &msg)
 {
-    VectorClock deps = VectorClock::fromRaw(msg.cauhist);
     NodeId origin = msg.src;
-    std::uint64_t seq = deps[origin] + 1;
+    std::uint64_t seq = msg.cauhist[origin] + 1;
     if (applied[origin] < seq)
         applied[origin] = seq;
     if (msg.clientSeq != 0)
@@ -2169,13 +2202,16 @@ ProtocolNode::drainCausalBuffer()
     while (progress) {
         progress = false;
         for (auto &queue : causalBuffer) {
-            while (!queue.empty()) {
-                VectorClock deps =
-                    VectorClock::fromRaw(queue.front().cauhist);
-                if (!causalDepsSatisfied(deps))
+            while (queue.head != 0) {
+                BufferedUpd &b = bufferedUpds.at(queue.head);
+                if (!causalDepsSatisfied(b.msg.cauhist))
                     break;
-                Message m = std::move(queue.front());
-                queue.pop_front();
+                Message m = std::move(b.msg);
+                std::uint64_t next = b.next;
+                bufferedUpds.free(queue.head);
+                queue.head = next;
+                if (next == 0)
+                    queue.tail = 0;
                 --causalBuffered;
                 applyCausalUpd(m);
                 progress = true;
@@ -2248,18 +2284,6 @@ ProtocolNode::handleEndX(const Message &msg)
                   return a.ver < b.ver;
               });
 
-    auto apply_all = [this, writes] {
-        for (const auto &w : writes) {
-            KeyReplica &kr = keyState(w.key);
-            noteVersion(w.key, w.ver);
-            if (kr.volatileVer < w.ver) {
-                kr.volatileVer = w.ver;
-                backend->put(w.key, w.ver.number);
-            }
-            wakeWaiters(w.key);
-        }
-    };
-
     const Persistency p = cfg.model.persistency;
     NodeId dst = msg.src;
     std::uint64_t op = msg.opId;
@@ -2268,21 +2292,20 @@ ProtocolNode::handleEndX(const Message &msg)
         // Persist first, make visible second, ACK last: reads must
         // never observe a transaction that could still be wiped out
         // (this is what keeps Table 4's monotonic-reads "yes").
-        auto remaining = std::make_shared<std::size_t>(writes.size());
+        std::uint64_t bh = barriers.alloc();
+        PersistBarrier &b = barriers.at(bh);
+        b.remaining = static_cast<std::uint32_t>(writes.size());
+        b.ackType = MsgType::Ack;
+        b.ackDst = dst;
+        b.ackOp = op;
+        b.writes = writes;
         for (const auto &w : writes) {
             issuePersist(w.key, w.ver, 0, false, 0, 0, false,
-                         net::kNoNode, 0,
-                         [this, remaining, apply_all, dst, op] {
-                if (--*remaining == 0) {
-                    apply_all();
-                    sendTo(dst,
-                           makeMsg(MsgType::Ack, 0, Version{}, op));
-                }
-            });
+                         net::kNoNode, 0, bh);
         }
         return;
     }
-    apply_all();
+    applyCommitted(writes);
 
     if (p == Persistency::ReadEnforced) {
         for (const auto &w : writes)
@@ -2307,6 +2330,20 @@ ProtocolNode::handleEndX(const Message &msg)
 }
 
 void
+ProtocolNode::applyCommitted(const std::vector<XactWrite> &writes)
+{
+    for (const auto &w : writes) {
+        KeyReplica &kr = keyState(w.key);
+        noteVersion(w.key, w.ver);
+        if (kr.volatileVer < w.ver) {
+            kr.volatileVer = w.ver;
+            backend->put(w.key, w.ver.number);
+        }
+        wakeWaiters(w.key);
+    }
+}
+
+void
 ProtocolNode::handlePersistScope(const Message &msg)
 {
     auto it = scopeBuffers.find(msg.scopeId);
@@ -2320,17 +2357,17 @@ ProtocolNode::handlePersistScope(const Message &msg)
         return;
     }
 
-    auto remaining = std::make_shared<std::size_t>(it->second.size());
     std::vector<std::pair<KeyId, Version>> entries =
         std::move(it->second);
     scopeBuffers.erase(it);
-    for (const auto &[key, ver] : entries) {
-        issuePersist(key, ver, 0, false, 0, 0, false, net::kNoNode, 0,
-                     [this, remaining, dst, op] {
-            if (--*remaining == 0)
-                sendTo(dst, makeMsg(MsgType::AckP, 0, Version{}, op));
-        });
-    }
+    std::uint64_t bh = barriers.alloc();
+    PersistBarrier &b = barriers.at(bh);
+    b.remaining = static_cast<std::uint32_t>(entries.size());
+    b.ackType = MsgType::AckP;
+    b.ackDst = dst;
+    b.ackOp = op;
+    for (const auto &[key, ver] : entries)
+        issuePersist(key, ver, 0, false, 0, 0, false, net::kNoNode, 0, bh);
 }
 
 // --------------------------------------------------------------------------
@@ -2359,7 +2396,7 @@ ProtocolNode::flushLazyUpds()
     lazyQueue.clear();
     for (auto &m : pending) {
         KeyId key = m.key;
-        ctr.add("upd_sent", rmap.followerCount(key));
+        hot.updSent.add(rmap.followerCount(key));
         multicast(key, std::move(m));
     }
 }
@@ -2375,6 +2412,7 @@ ProtocolNode::abortInFlight()
     rounds.clear();
     xactRecs.clear();
     scopeBuffers.clear();
+    bufferedUpds.clear();
     causalBuffer.assign(cfg.numNodes, {});
     causalBuffered = 0;
     lazyQueue.clear();
@@ -2383,10 +2421,19 @@ ProtocolNode::abortInFlight()
     durableApplied = VectorClock(cfg.numNodes);
     pendingDurable.assign(cfg.numNodes, {});
     // One slab clear() retires every parked request (all outstanding
-    // waiter handles go stale) and every coalescing record; the per-key
-    // handles reset below.
+    // waiter handles go stale), every coalescing record and every
+    // persist obligation; the per-key handles reset below. A parked
+    // request's waiter was its only owner, so its record goes too.
+    // Requests owned by a scheduled event are freed when that event
+    // fires into the new epoch — or run on, for a woken waiter's
+    // resume, which is not epoch-guarded.
+    waiterSlab.forEach([this](std::uint64_t, Waiter &w) {
+        requests.free(w.request);
+    });
     waiterSlab.clear();
     persistFlights.clear();
+    obligations.clear();
+    barriers.clear();
     for (auto &kr : keys) {
         kr.transient = false;
         kr.transientVer = Version{};

@@ -31,10 +31,9 @@
 #define DDP_CORE_PROTOCOL_NODE_HH
 
 #include <cstdint>
-#include <deque>
+#include <functional>
 #include <memory>
 #include <set>
-#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -421,6 +420,37 @@ class ProtocolNode
     void adoptVisible(net::KeyId key, net::Version version);
 
   private:
+    // --- In-flight requests ---------------------------------------------------
+    /**
+     * One client read, write or scan from admission to completion, a
+     * cell of the node-wide request slab (requests). Exactly one
+     * continuation owns a live request at any time — a scheduled
+     * event, a parked waiter, or the running handler — and that owner
+     * frees the cell when the request completes or its continuation
+     * dies: an epoch-guarded event firing after a crash, or a waiter
+     * dropped by abortInFlight(). Events capture only the handle, so
+     * they stay within the event queue's inline callback buffer.
+     */
+    struct Request
+    {
+        OpKind kind = OpKind::Read; ///< Read, Write or Scan
+        bool charged = false;
+        bool countedVisibility = false;
+        bool countedPersist = false;
+        bool walked = false; ///< scan: ordered walk charged
+        std::uint32_t conflictAttempts = 0;
+        /** Read/write key; a scan's first key. */
+        net::KeyId key = 0;
+        net::KeyId hi = 0;     ///< scan: inclusive upper bound
+        net::KeyId cursor = 0; ///< scan: next key awaiting clearance
+        std::uint64_t visited = 0;
+        sim::Tick issued = 0;
+        OpCompletion done;
+        OpContext octx;
+        /** Phase attribution; sums to completedAt - issued at completion. */
+        sim::PhaseAccum acc{};
+    };
+
     // --- Per-key replica state ----------------------------------------------
     /**
      * One parked request, a cell of the node-wide waiter slab
@@ -441,21 +471,49 @@ class ProtocolNode
         };
         Kind kind = Kind::KeyValid;
         net::Version ver{};
-        sim::InlineFn resume;
+        /** The parked request (requests handle); waking re-runs it. */
+        std::uint64_t request = 0;
         /** When the request parked (for stall-phase attribution). */
         sim::Tick parkedAt = 0;
-        /** Request's phase accumulator; wakeWaiters charges the stall
-         *  and retry costs into it. Null for untracked waiters. */
-        sim::PhaseAccum *acc = nullptr;
         /** Which phase the park time is attributed to. */
         sim::Phase stallPhase = sim::Phase::VisibilityStall;
         /** Next waiter of the same key (waiterSlab handle, 0 = end). */
         std::uint64_t next = 0;
     };
 
-    /** Fires when a persist covering the obligation's version
-     *  completes; the argument is the covering version. */
-    using PersistObligation = std::function<void(net::Version)>;
+    /**
+     * Everything that must happen once a persisted version is durable
+     * (or superseded by a durable newer version), a cell of the
+     * obligations slab. Obligations waiting on one NVM write form a
+     * FIFO chain through @c next and fire in the order they were
+     * issued.
+     */
+    struct PersistObligation
+    {
+        net::KeyId key = 0;
+        net::Version ver{};
+        /** Coordinator round whose local persist this is (0 = none). */
+        std::uint64_t roundId = 0;
+        /** Acknowledge @c ackOp to @c ackDst (follower persist). */
+        bool followerAcks = false;
+        net::NodeId ackDst = 0;
+        std::uint64_t ackOp = 0;
+        /** A causal UPD from @c causalOrigin became durable here. */
+        net::NodeId causalOrigin = net::kNoNode;
+        std::uint64_t causalSeq = 0;
+        /** PersistBarrier this persist counts toward (0 = none). */
+        std::uint64_t barrier = 0;
+        /** Next obligation of the same chain (0 = end). */
+        std::uint64_t next = 0;
+    };
+
+    /** Head/tail handles of an intrusive FIFO of slab cells chained
+     *  through their @c next (0 = empty). */
+    struct SlabFifo
+    {
+        std::uint64_t head = 0;
+        std::uint64_t tail = 0;
+    };
 
     /**
      * Write-pending-queue coalescing state of one key: at most one NVM
@@ -468,13 +526,15 @@ class ProtocolNode
     struct PersistFlight
     {
         bool busy = false; ///< an NVM write of activeVer is in flight
-        net::Version activeVer;
         bool activeArrival = false;
-        std::vector<PersistObligation> activeObligations;
         bool hasPending = false; ///< a follow-up write is queued
-        net::Version pendingVer;
         bool pendingArrival = false;
-        std::vector<PersistObligation> pendingObligations;
+        /** Data lines of the active multi-line write still in flight. */
+        std::uint32_t linesLeft = 0;
+        net::Version activeVer;
+        SlabFifo active;
+        net::Version pendingVer;
+        SlabFifo pending;
     };
 
     struct KeyReplica
@@ -543,6 +603,21 @@ class ProtocolNode
         std::uint64_t scopeId = 0;
     };
 
+    /**
+     * Fan-in of a follower's PERSIST_s, or of its ENDX under
+     * Synchronous persistency: once @c remaining persists are durable,
+     * apply @c writes (ENDX only) and send @c ackType to the
+     * coordinator. A cell of the barriers slab.
+     */
+    struct PersistBarrier
+    {
+        std::uint32_t remaining = 0;
+        net::MsgType ackType = net::MsgType::AckP;
+        net::NodeId ackDst = 0;
+        std::uint64_t ackOp = 0;
+        std::vector<XactWrite> writes;
+    };
+
     struct XactRecord
     {
         std::uint64_t id = 0;
@@ -576,8 +651,9 @@ class ProtocolNode
     void wakeWaiters(net::KeyId key);
     bool waiterSatisfied(net::KeyId key, const KeyReplica &kr,
                          const Waiter &w) const;
-    /** Append a parked request to @p key's waiter list. */
-    void parkWaiter(net::KeyId key, Waiter &&w);
+    /** Park request @p req on @p key until @p kind (@p ver) holds. */
+    void parkWaiter(net::KeyId key, Waiter::Kind kind, net::Version ver,
+                    std::uint64_t req, sim::Phase stall_phase);
 
     // Instant recovery (MM-DIRECT style on-demand fault-in).
     enum class KeyTemp : std::uint8_t
@@ -612,25 +688,32 @@ class ProtocolNode
     /** Send @p msg to every *replica* of @p key except this node. */
     void multicast(net::KeyId key, net::Message msg);
 
+    // Request lifecycle.
+    /** Admit a new request: charge the op cost, then run it. */
+    void admitRequest(OpKind kind, net::KeyId key, OpContext ctx,
+                      OpCompletion done, net::KeyId hi = 0);
+    /** Run (or re-run) request @p req from its current state. */
+    void runRequest(std::uint64_t req);
+    /** Run @p req at @p when unless a crash intervenes first. */
+    void scheduleRequest(sim::Tick when, std::uint64_t req);
+    /** Complete @p req with @p res: free its cell, then notify. */
+    void completeRequest(std::uint64_t req, const OpResult &res);
+    /** Completion record of @p rq at the current tick. */
+    OpResult requestResult(const Request &rq) const;
+
     // Read path.
-    struct ReadCtx;
-    void execRead(net::KeyId key, std::shared_ptr<ReadCtx> rc);
-    void finishRead(net::KeyId key, const std::shared_ptr<ReadCtx> &rc);
+    void execRead(std::uint64_t req);
+    void finishRead(std::uint64_t req);
 
     // Scan path (YCSB-E).
-    struct ScanCtx;
-    void execScan(std::shared_ptr<ScanCtx> sc);
-    void finishScan(const std::shared_ptr<ScanCtx> &sc);
+    void execScan(std::uint64_t req);
+    void finishScan(std::uint64_t req);
 
     // Write path.
-    struct WriteCtx;
-    void execWrite(net::KeyId key, std::shared_ptr<WriteCtx> wc);
-    void startAckRoundWrite(net::KeyId key,
-                            const std::shared_ptr<WriteCtx> &wc);
-    void startXactWrite(net::KeyId key,
-                        const std::shared_ptr<WriteCtx> &wc);
-    void startPropagatedWrite(net::KeyId key,
-                              const std::shared_ptr<WriteCtx> &wc);
+    void execWrite(std::uint64_t req);
+    void startAckRoundWrite(std::uint64_t req);
+    void startXactWrite(std::uint64_t req);
+    void startPropagatedWrite(std::uint64_t req);
 
     // Persist machinery.
     void issuePersist(net::KeyId key, net::Version ver,
@@ -639,12 +722,18 @@ class ProtocolNode
                       bool arrival_order,
                       net::NodeId causal_origin = net::kNoNode,
                       std::uint64_t causal_seq = 0,
-                      std::function<void()> on_durable = {});
+                      std::uint64_t barrier = 0);
     void startKeyPersist(net::KeyId key, net::Version ver,
-                         bool arrival_order,
-                         std::vector<PersistObligation> obligations);
+                         bool arrival_order, SlabFifo obligations);
     void onDataLinesDurable(net::KeyId key);
     void onKeyPersistDone(net::KeyId key);
+    /** Fire (and free) every obligation of @p chain, in order. */
+    void fireObligations(SlabFifo chain);
+    void fulfil(const PersistObligation &o);
+    /** One more persist of barrier @p h is durable. */
+    void barrierPersisted(std::uint64_t h);
+    /** Make a committed transaction's writes visible (follower). */
+    void applyCommitted(const std::vector<XactWrite> &writes);
 
     // Gray-failure machinery.
     /** CPU cost scaled by the node's core slow factor (if degraded). */
@@ -669,6 +758,8 @@ class ProtocolNode
 
     // Message handlers (post core-occupancy).
     void handleMessage(const net::Message &msg);
+    /** Move the message parked at @p idx out of the inbox. */
+    net::Message takeInbound(std::uint32_t idx);
     void processMessage(const net::Message &msg);
     void handleInv(const net::Message &msg);
     void handleAck(const net::Message &msg);
@@ -679,7 +770,7 @@ class ProtocolNode
     void handlePersistScope(const net::Message &msg);
 
     // Causal machinery.
-    bool causalDepsSatisfied(const VectorClock &deps) const;
+    bool causalDepsSatisfied(const net::CausalHistory &deps) const;
     void applyCausalUpd(const net::Message &msg);
     void noteCausalDurable(net::NodeId origin, std::uint64_t seq);
     void drainCausalBuffer();
@@ -694,6 +785,25 @@ class ProtocolNode
     net::NodeId self;
     NodeParams cfg;
     stats::CounterRegistry &ctr;
+    /** Counters bumped on every request, message or persist. */
+    struct HotCounters
+    {
+        explicit HotCounters(stats::CounterRegistry &r);
+        stats::CounterRegistry::Counter persistsIssued;
+        stats::CounterRegistry::Counter persistsCoalesced;
+        stats::CounterRegistry::Counter commitRecordsWritten;
+        stats::CounterRegistry::Counter readsCompleted;
+        stats::CounterRegistry::Counter writesCompleted;
+        stats::CounterRegistry::Counter scansCompleted;
+        stats::CounterRegistry::Counter scanKeysVisited;
+        stats::CounterRegistry::Counter readsStalledVisibility;
+        stats::CounterRegistry::Counter readsStalledPersist;
+        stats::CounterRegistry::Counter invSent;
+        stats::CounterRegistry::Counter updSent;
+        stats::CounterRegistry::Counter causalBuffered;
+        stats::CounterRegistry::Counter acksUnmatched;
+        stats::CounterRegistry::Counter msgsDroppedNodeDown;
+    } hot;
     XactConflictTable *xactTable;
     EventSink *sink = nullptr;
     sim::TraceRecorder *trace = nullptr;
@@ -708,6 +818,16 @@ class ProtocolNode
     sim::ResourcePool cores;
 
     std::vector<KeyReplica> keys;
+    /** In-flight client requests (see Request). */
+    sim::ChunkedSlab<Request> requests;
+    /**
+     * Delivered messages waiting for a worker core, parked the way
+     * Fabric::park() parks them on the wire: the admission event then
+     * captures only a slot index. Every parked message's event frees
+     * its slot, crash or not, so a crash leaves nothing to clear.
+     */
+    std::vector<net::Message> inbox;
+    std::vector<std::uint32_t> inboxFree;
     /**
      * All parked requests, across keys, in one free-listed slab; each
      * KeyReplica threads its own waiters through Waiter::next. A crash
@@ -717,6 +837,10 @@ class ProtocolNode
     sim::ChunkedSlab<Waiter> waiterSlab;
     /** Coalescing records of the keys with a persist in flight. */
     sim::ChunkedSlab<PersistFlight> persistFlights;
+    /** Obligations of persists in flight (chained per NVM write). */
+    sim::ChunkedSlab<PersistObligation> obligations;
+    /** Follower ENDX / PERSIST_s persist fan-ins. */
+    sim::ChunkedSlab<PersistBarrier> barriers;
     /**
      * In-flight coordinator rounds. The round id handed out to
      * messages (Message::opId) IS the generation-tagged slab handle:
@@ -740,14 +864,26 @@ class ProtocolNode
      * cost the paper measures in Sec. 8.1.2.
      */
     VectorClock durableApplied;
-    /** Out-of-order persist completions per origin (seq numbers). */
-    std::vector<std::set<std::uint64_t>> pendingDurable;
+    /** Out-of-order persist completions per origin (seq numbers),
+     *  sorted descending so the next contiguous one is at the back. */
+    std::vector<std::vector<std::uint64_t>> pendingDurable;
+
+    /** One buffered causal UPD, a cell of bufferedUpds; an origin's
+     *  UPDs chain FIFO through @c next. */
+    struct BufferedUpd
+    {
+        net::Message msg;
+        std::uint64_t next = 0;
+    };
+    /** Storage of every buffered UPD: the node's buffering peak is
+     *  paid once, then cells are reused without allocating. */
+    sim::ChunkedSlab<BufferedUpd> bufferedUpds;
     /**
      * Buffered out-of-order causal UPDs, one FIFO per origin: the
      * per-queue-pair in-order delivery guarantees per-origin sequence
      * order, so only queue heads ever need a dependency check.
      */
-    std::vector<std::deque<net::Message>> causalBuffer;
+    std::vector<SlabFifo> causalBuffer;
     std::size_t causalBuffered = 0;
     std::uint64_t causalPeak = 0;
 

@@ -59,6 +59,13 @@ PhiAccrualDetector::heartbeat(NodeId peer, sim::Tick now)
         observe(peer, now - p.lastHeard);
     p.lastHeard = now;
     p.heard = true;
+    // At elapsed 0, z = -mean / (sigma sqrt 2) <= 0, so the tail is at
+    // least 1/2 and phi at most log10 2: a trusted peer cannot cross a
+    // suspectPhi above that, and the erfc/log10 evaluation can only
+    // confirm the verdict. (A zero-variance window makes z NaN, which
+    // crosses no threshold either.)
+    if (!p.suspectedNow && tuning.suspectPhi > kPhiAtHeartbeatMax)
+        return;
     // Fresh traffic is the evidence that rehabilitates a suspect.
     suspected(peer, now);
 }
@@ -220,7 +227,7 @@ RecoveryAgent::makeInstall(const Batch &b, std::uint64_t id) const
     inst.scopeId = b.length;
     inst.opId = id;
     inst.hasData = true; // winners carry data lines, not just versions
-    inst.cauhist = b.best;
+    inst.cauhist.assign(b.best.begin(), b.best.end());
     return inst;
 }
 

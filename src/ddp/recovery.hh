@@ -170,6 +170,10 @@ class PhiAccrualDetector
     void meanSigma(const PeerState &p, double &mean,
                    double &sigma) const;
 
+    /** Upper bound on phi() at elapsed 0: log10 2 = 0.30102999...,
+     *  rounded up so libm rounding in erfc/log10 stays beneath it. */
+    static constexpr double kPhiAtHeartbeatMax = 0.30103;
+
     Tuning tuning;
     std::vector<PeerState> peers;
     std::uint64_t suspectCount = 0;

@@ -14,6 +14,7 @@
 #define DDP_CORE_VECTOR_CLOCK_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace ddp::core {
@@ -34,8 +35,16 @@ class VectorClock
     bool
     dominates(const VectorClock &other) const
     {
+        return dominates(std::span<const std::uint64_t>(other.counts));
+    }
+
+    /** this >= @p raw component-wise, for a raw clock of the same
+     *  width (a message's cauhist, compared in place). */
+    bool
+    dominates(std::span<const std::uint64_t> raw) const
+    {
         for (std::size_t i = 0; i < counts.size(); ++i) {
-            if (counts[i] < other.counts[i])
+            if (counts[i] < raw[i])
                 return false;
         }
         return true;

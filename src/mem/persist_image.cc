@@ -44,10 +44,16 @@ PersistImage::scanChecksum(net::KeyId key) const
     std::uint64_t sum =
         mix(s.ver.number ^ (std::uint64_t{s.ver.writer} << 56));
     for (std::uint32_t i = 0; i < linesTotal; ++i) {
-        const net::Version &tag = s.lineTags[i];
+        const net::Version &tag = i < s.written ? s.ver : s.base;
         sum ^= mix(tag.number + i * 0x100000001b3ull + tag.writer);
     }
     return sum;
+}
+
+void
+PersistImage::retire(InflightMap::iterator it)
+{
+    spareNodes.push_back(inflight.extract(it));
 }
 
 void
@@ -62,8 +68,18 @@ PersistImage::beginWrite(net::KeyId key, net::Version ver)
     s.ver = ver;
     // Double buffering: the staging slot holds the lines of an older
     // committed copy until the new value's lines overwrite them.
-    s.lineTags.assign(linesTotal, keys[key].intact);
-    inflight[key] = std::move(s);
+    s.base = keys[key].intact;
+    if (auto it = inflight.find(key); it != inflight.end()) {
+        it->second = s;
+    } else if (!spareNodes.empty()) {
+        InflightMap::node_type node = std::move(spareNodes.back());
+        spareNodes.pop_back();
+        node.key() = key;
+        node.mapped() = s;
+        inflight.insert(std::move(node));
+    } else {
+        inflight.emplace(key, s);
+    }
 }
 
 void
@@ -73,7 +89,6 @@ PersistImage::lineWritten(net::KeyId key)
     assert(it != inflight.end());
     Staging &s = it->second;
     assert(s.written < linesTotal);
-    s.lineTags[s.written] = s.ver;
     ++s.written;
 }
 
@@ -89,7 +104,7 @@ PersistImage::commitWrite(net::KeyId key, bool arrival_order)
     if (arrival_order || ki.intact < s.ver)
         ki.intact = s.ver;
     ki.everWritten = true;
-    inflight.erase(it);
+    retire(it);
 }
 
 void
@@ -136,8 +151,8 @@ PersistImage::recover(net::KeyId key)
     auto it = inflight.find(key);
     if (it == inflight.end())
         return out;
-    Staging s = std::move(it->second);
-    inflight.erase(it);
+    Staging s = it->second;
+    retire(it);
 
     if (s.written == 0) {
         // The write was admitted but no line reached the medium: the

@@ -154,12 +154,21 @@ class PersistImage
     std::uint64_t onDemandLoads() const { return onDemandCount; }
 
   private:
+    /**
+     * One in-flight multi-line persist. Lines land in order, so line i
+     * carries @c ver once i < written and still carries @c base (the
+     * older committed copy double buffering left in the slot) after.
+     */
     struct Staging
     {
-        net::Version ver{};                 ///< version being persisted
-        std::vector<net::Version> lineTags; ///< per-line version tag
-        std::uint32_t written = 0;          ///< lines durable so far
+        net::Version ver{};        ///< version being persisted
+        net::Version base{};       ///< intact version at beginWrite
+        std::uint32_t written = 0; ///< lines durable so far
     };
+    using InflightMap = std::unordered_map<net::KeyId, Staging>;
+
+    /** Retire @p it, keeping its node for the next beginWrite(). */
+    void retire(InflightMap::iterator it);
 
     struct KeyImage
     {
@@ -173,7 +182,9 @@ class PersistImage
     bool useCommitRecords;
     std::vector<KeyImage> keys;
     /** Only keys with an in-flight multi-line persist have an entry. */
-    std::unordered_map<net::KeyId, Staging> inflight;
+    InflightMap inflight;
+    /** Nodes of retired entries, reused so a persist allocates none. */
+    std::vector<InflightMap::node_type> spareNodes;
 
     std::uint64_t tornDetectedCount = 0;
     std::uint64_t tornInstallCount = 0;

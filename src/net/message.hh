@@ -19,7 +19,10 @@
 #ifndef DDP_NET_MESSAGE_HH
 #define DDP_NET_MESSAGE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -100,8 +103,124 @@ enum class MsgType : std::uint8_t
 /** Human-readable message-type name (for traces and tests). */
 const char *msgTypeName(MsgType t);
 
-/** Vector-clock causal history: per-server applied-update counters. */
-using CausalHistory = std::vector<std::uint64_t>;
+/**
+ * Vector-clock causal history: per-server applied-update counters.
+ * Recovery messages reuse the field for batches of packed versions.
+ *
+ * Up to kInline entries live inside the message, so a Causal UPD of a
+ * replica team of up to kInline servers (the paper's 5-server cluster,
+ * every team of a sharded one) is broadcast, parked and buffered
+ * without a heap allocation. Longer histories — larger teams, recovery
+ * batches — spill to the heap.
+ */
+class CausalHistory
+{
+  public:
+    static constexpr std::uint32_t kInline = 5;
+
+    CausalHistory() = default;
+    CausalHistory(std::initializer_list<std::uint64_t> init)
+    {
+        assign(init.begin(), init.end());
+    }
+    CausalHistory(const CausalHistory &other)
+    {
+        assign(other.begin(), other.end());
+    }
+    CausalHistory(CausalHistory &&other) noexcept { steal(other); }
+    CausalHistory &
+    operator=(const CausalHistory &other)
+    {
+        if (this != &other)
+            assign(other.begin(), other.end());
+        return *this;
+    }
+    CausalHistory &
+    operator=(CausalHistory &&other) noexcept
+    {
+        if (this != &other) {
+            release();
+            steal(other);
+        }
+        return *this;
+    }
+    ~CausalHistory() { release(); }
+
+    /** Replace the contents with the range [@p first, @p last). */
+    template <typename It>
+    void
+    assign(It first, It last)
+    {
+        count = 0;
+        reserve(static_cast<std::uint32_t>(std::distance(first, last)));
+        for (; first != last; ++first)
+            data()[count++] = *first;
+    }
+
+    void
+    reserve(std::size_t n)
+    {
+        if (n <= cap)
+            return;
+        auto *grown = new std::uint64_t[n];
+        std::copy(begin(), end(), grown);
+        if (cap > kInline)
+            delete[] heap;
+        heap = grown;
+        cap = static_cast<std::uint32_t>(n);
+    }
+
+    void
+    push_back(std::uint64_t v)
+    {
+        if (count == cap)
+            reserve(std::size_t{cap} * 2);
+        data()[count++] = v;
+    }
+
+    std::size_t size() const { return count; }
+
+    std::uint64_t *data() { return cap > kInline ? heap : inl; }
+    const std::uint64_t *data() const { return cap > kInline ? heap : inl; }
+    std::uint64_t &operator[](std::size_t i) { return data()[i]; }
+    std::uint64_t operator[](std::size_t i) const { return data()[i]; }
+    std::uint64_t *begin() { return data(); }
+    std::uint64_t *end() { return data() + count; }
+    const std::uint64_t *begin() const { return data(); }
+    const std::uint64_t *end() const { return data() + count; }
+
+  private:
+    void
+    release()
+    {
+        if (cap > kInline)
+            delete[] heap;
+        cap = kInline;
+        count = 0;
+    }
+
+    /** Take @p other's contents, leaving it empty (inline). */
+    void
+    steal(CausalHistory &other) noexcept
+    {
+        count = other.count;
+        cap = other.cap;
+        if (cap > kInline)
+            heap = other.heap;
+        else
+            std::copy(other.inl, other.inl + count, inl);
+        other.cap = kInline;
+        other.count = 0;
+    }
+
+    std::uint32_t count = 0;
+    std::uint32_t cap = kInline; ///< > kInline: entries live in heap
+    union
+    {
+        std::uint64_t inl[kInline] = {};
+        std::uint64_t *heap;
+    };
+};
 
 /** One protocol message. */
 struct Message

@@ -157,7 +157,10 @@ class ChunkedSlab
     }
 
   private:
-    static constexpr std::size_t kChunkLg = 8;
+    // 64 cells per chunk: a node's slabs hold tens of live records at
+    // a time, and a 25-node cluster pays every chunk once per slab per
+    // node, so small chunks keep idle capacity out of the RSS.
+    static constexpr std::size_t kChunkLg = 6;
     static constexpr std::size_t kChunkSize = std::size_t(1) << kChunkLg;
 
     struct Cell

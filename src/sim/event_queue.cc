@@ -21,16 +21,55 @@ EventQueue::pushEvent(Tick when, std::uint64_t seq, TimerId timer,
         eventSlots.push_back(EventSlot{timer, std::move(fn)});
     }
     events.push_back(HeapItem{when, seq, slot});
-    std::push_heap(events.begin(), events.end(), entryAfter);
+    siftUp(events.size() - 1);
+}
+
+void
+EventQueue::siftUp(std::size_t i)
+{
+    HeapItem item = events[i];
+    while (i > 0) {
+        std::size_t parent = (i - 1) / kArity;
+        if (!keyBefore(item, events[parent]))
+            break;
+        events[i] = events[parent];
+        i = parent;
+    }
+    events[i] = item;
+}
+
+void
+EventQueue::siftDown(std::size_t i)
+{
+    const std::size_t n = events.size();
+    HeapItem item = events[i];
+    for (;;) {
+        std::size_t first = i * kArity + 1;
+        if (first >= n)
+            break;
+        std::size_t last = std::min(first + kArity, n);
+        std::size_t best = first;
+        for (std::size_t c = first + 1; c < last; ++c) {
+            if (keyBefore(events[c], events[best]))
+                best = c;
+        }
+        if (!keyBefore(events[best], item))
+            break;
+        events[i] = events[best];
+        i = best;
+    }
+    events[i] = item;
 }
 
 EventQueue::HeapItem
 EventQueue::popItem()
 {
-    std::pop_heap(events.begin(), events.end(), entryAfter);
-    HeapItem item = events.back();
+    HeapItem top = events.front();
+    events.front() = events.back();
     events.pop_back();
-    return item;
+    if (!events.empty())
+        siftDown(0);
+    return top;
 }
 
 void

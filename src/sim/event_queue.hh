@@ -12,10 +12,13 @@
  *  - callbacks are InlineFn, so typical closures (this + a few scalars)
  *    live inside the event slab instead of costing a malloc per event;
  *  - the priority queue is indirect: callbacks are parked in a
- *    free-listed slab and an explicitly-owned binary heap
- *    (std::vector + std::push_heap/std::pop_heap) sifts only trivially
- *    copyable 24-byte (when, seq, slot) keys, ordered strictly by the
- *    unique (when, seq) key;
+ *    free-listed slab and an explicitly-owned 4-ary min-heap sifts only
+ *    trivially copyable 24-byte (when, seq, slot) keys, ordered
+ *    strictly by the unique (when, seq) key. Four children per node
+ *    halve the tree depth of a binary heap and keep each sibling group
+ *    within two cache lines; because no two keys compare equal, any
+ *    correct heap pops the same sequence, so the arity cannot change
+ *    a simulated result;
  *  - cancellable timers use generation-tagged slots — cancel, fire and
  *    pending-checks are O(1) array lookups, with no per-event hash-set
  *    traffic.
@@ -39,7 +42,7 @@
 namespace ddp::sim {
 
 /** Callback type executed when an event fires. */
-using EventFn = InlineFn;
+using EventFn = InlineFn<void()>;
 
 /**
  * Handle of a cancellable timer; 0 is "no timer". Packs a slot index
@@ -213,12 +216,8 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    /** Earliest (when, seq) on top; min-heap via inverted comparison. */
-    static bool
-    entryAfter(const HeapItem &a, const HeapItem &b)
-    {
-        return keyBefore(b, a);
-    }
+    /** Children per heap node. */
+    static constexpr std::size_t kArity = 4;
 
     static std::uint32_t
     slotOf(TimerId id)
@@ -242,12 +241,18 @@ class EventQueue
         return events.empty() ? nullptr : &events.front();
     }
     HeapItem popItem();
+    /** Move the item at @p i toward the root until its parent is
+     *  earlier. */
+    void siftUp(std::size_t i);
+    /** Move the item at @p i toward the leaves until every child is
+     *  later. */
+    void siftDown(std::size_t i);
     /** Bump the slot's generation and recycle its index. */
     void retireTimer(TimerId id);
     /** Pop cancelled timer entries off the front of the queue. */
     void purgeCancelled();
 
-    std::vector<HeapItem> events; ///< Min-heap on (when, seq).
+    std::vector<HeapItem> events; ///< 4-ary min-heap on (when, seq).
     std::vector<EventSlot> eventSlots;
     std::vector<std::uint32_t> freeEventSlots;
     Tick _now = 0;

@@ -5,14 +5,15 @@
  * Every simulated event used to pay a heap allocation through
  * std::function's type-erasure; profiling the 25-model sweeps showed
  * malloc/free of event closures high on the flat profile. InlineFn
- * stores closures up to kInlineBytes directly inside the event-queue
- * entry (one cache line together with the entry header) and only falls
- * back to the heap for oversized captures — which the simulator's call
- * sites avoid by capturing `this` plus a few scalars.
+ * stores closures up to kInlineBytes directly inside the owning record
+ * (an event-queue slot, a request's completion) and only falls back to
+ * the heap for oversized captures — which the simulator's call sites
+ * avoid by capturing `this` plus a few scalars or slab handles.
  *
  * InlineFn is move-only: events are scheduled exactly once and consumed
- * exactly once, so copyability (which forced std::function to allocate
- * copyable wrappers) is deliberately not offered.
+ * exactly once, and a request completes exactly once, so copyability
+ * (which forced std::function to allocate copyable wrappers) is
+ * deliberately not offered.
  */
 
 #ifndef DDP_SIM_INLINE_FN_HH
@@ -26,8 +27,12 @@
 
 namespace ddp::sim {
 
-/** Move-only `void()` callable with small-buffer optimization. */
-class InlineFn
+template <typename Sig>
+class InlineFn;
+
+/** Move-only `R(Args...)` callable with small-buffer optimization. */
+template <typename R, typename... Args>
+class InlineFn<R(Args...)>
 {
   public:
     /** Closure bytes stored inline (larger captures go to the heap). */
@@ -73,17 +78,17 @@ class InlineFn
 
     explicit operator bool() const { return vt != nullptr; }
 
-    void
-    operator()()
+    R
+    operator()(Args... args)
     {
         assert(vt && "calling an empty InlineFn");
-        vt->invoke(storage);
+        return vt->invoke(storage, std::forward<Args>(args)...);
     }
 
   private:
     struct VTable
     {
-        void (*invoke)(void *);
+        R (*invoke)(void *, Args &&...);
         /** Move-construct dst from src, then destroy src. */
         void (*relocate)(void *dst, void *src) noexcept;
         void (*destroy)(void *) noexcept;
@@ -91,7 +96,10 @@ class InlineFn
 
     template <typename Fn>
     static constexpr VTable inlineVtable = {
-        [](void *p) { (*std::launder(reinterpret_cast<Fn *>(p)))(); },
+        [](void *p, Args &&...args) -> R {
+            return (*std::launder(reinterpret_cast<Fn *>(p)))(
+                std::forward<Args>(args)...);
+        },
         [](void *dst, void *src) noexcept {
             Fn *s = std::launder(reinterpret_cast<Fn *>(src));
             ::new (dst) Fn(std::move(*s));
@@ -104,8 +112,9 @@ class InlineFn
 
     template <typename Fn>
     static constexpr VTable heapVtable = {
-        [](void *p) {
-            (**std::launder(reinterpret_cast<Fn **>(p)))();
+        [](void *p, Args &&...args) -> R {
+            return (**std::launder(reinterpret_cast<Fn **>(p)))(
+                std::forward<Args>(args)...);
         },
         [](void *dst, void *src) noexcept {
             Fn **s = std::launder(reinterpret_cast<Fn **>(src));

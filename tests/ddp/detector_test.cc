@@ -19,6 +19,7 @@
 #include "ddp/recovery.hh"
 #include "net/message.hh"
 #include "sim/event_queue.hh"
+#include "sim/sweep_runner.hh" // splitmix64
 
 using namespace ddp;
 using namespace ddp::core;
@@ -119,6 +120,70 @@ TEST(PhiAccrual, SilenceRaisesPhiAndHysteresisAvoidsThrash)
     EXPECT_TRUE(d.suspected(0, t + 13 * kMillisecond));
     EXPECT_TRUE(d.suspected(0, t + 14 * kMillisecond));
     EXPECT_EQ(d.suspectTransitions(), 2u);
+}
+
+namespace {
+
+/**
+ * Replay a seeded arrival trace on two detectors: @p fast takes plain
+ * heartbeats (which skip the phi evaluation for a trusted peer), @p
+ * exact re-evaluates phi right after every heartbeat, as heartbeat()
+ * did unconditionally. Between arrivals both are polled, which is what
+ * raises suspicion during the silences. Returns the number of steps
+ * whose verdicts disagreed.
+ */
+int
+replayTrace(PhiAccrualDetector &fast, PhiAccrualDetector &exact)
+{
+    std::uint64_t rng = 0xde7ec7;
+    auto draw = [&rng] {
+        rng = sim::splitmix64(rng);
+        return rng;
+    };
+    int disagreements = 0;
+    Tick t = 0;
+    for (int i = 0; i < 4000; ++i) {
+        // Jittered 5-15 us cadence, with two long silences of one peer
+        // (suspect) that end in fresh traffic (rehabilitate).
+        t += 5 * kMicrosecond + draw() % (10 * kMicrosecond);
+        if (i == 1000 || i == 2500)
+            t += 2 * kMillisecond;
+        NodeId peer = static_cast<NodeId>(draw() % 2);
+        Tick poll = t - draw() % (4 * kMicrosecond);
+        fast.suspected(peer, poll);
+        exact.suspected(peer, poll);
+        fast.heartbeat(peer, t);
+        exact.heartbeat(peer, t);
+        exact.suspected(peer, t);
+        for (NodeId p = 0; p < 2; ++p)
+            disagreements += fast.lastVerdict(p) != exact.lastVerdict(p);
+    }
+    return disagreements;
+}
+
+} // namespace
+
+TEST(PhiAccrual, HeartbeatShortCircuitKeepsEveryVerdict)
+{
+    PhiAccrualDetector fast(2);
+    PhiAccrualDetector exact(2);
+    EXPECT_EQ(replayTrace(fast, exact), 0);
+    EXPECT_GE(exact.suspectTransitions(), 2u) << "trace never suspected";
+    EXPECT_GE(exact.trustTransitions(), 2u) << "trace never rehabilitated";
+    EXPECT_EQ(fast.suspectTransitions(), exact.suspectTransitions());
+    EXPECT_EQ(fast.trustTransitions(), exact.trustTransitions());
+
+    // A suspect threshold at or below log10 2 keeps the exact path in
+    // heartbeat() itself; it must agree all the same.
+    PhiAccrualDetector::Tuning low;
+    low.suspectPhi = 0.2;
+    low.trustPhi = 0.1;
+    PhiAccrualDetector fast_low(2, low);
+    PhiAccrualDetector exact_low(2, low);
+    EXPECT_EQ(replayTrace(fast_low, exact_low), 0);
+    EXPECT_GE(exact_low.suspectTransitions(), 1u);
+    EXPECT_EQ(fast_low.suspectTransitions(), exact_low.suspectTransitions());
+    EXPECT_EQ(fast_low.trustTransitions(), exact_low.trustTransitions());
 }
 
 TEST(PhiAccrual, NeverHeardPeerIsNotSuspected)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -45,7 +46,8 @@ struct Harness
     bool hasDriver = false;
 
     explicit Harness(DdpModel model, std::uint32_t servers = 3,
-                     bool with_driver = false)
+                     bool with_driver = false,
+                     bool persist_coalescing = true)
         : hasDriver(with_driver)
     {
         std::uint32_t total = servers + (with_driver ? 1 : 0);
@@ -58,6 +60,7 @@ struct Harness
         np.opProcessing = 100 * kNanosecond;
         np.msgProcessing = 50 * kNanosecond;
         np.probeCost = 0;
+        np.persistCoalescing = persist_coalescing;
         for (std::uint32_t n = 0; n < servers; ++n) {
             nodes.push_back(std::make_unique<ProtocolNode>(
                 eq, *fabric, n, np, ctr, &xt));
@@ -759,6 +762,82 @@ TEST(Crash, CoalescedPersistStateIsDroppedAndKeyPersistsAfterRestart)
         EXPECT_EQ(n->visibleVersion(21), w.version);
         EXPECT_EQ(n->persistsInFlight(), 0u);
     }
+}
+
+namespace {
+
+/**
+ * Driver-injected INVs of one key, opIds 101..103, that reach node 0
+ * at one tick: under <Linearizable, Strict> each one obliges node 0 to
+ * persist it and then ACK its opId to the driver. Returns the opIds of
+ * the ACKs the driver received, in arrival order.
+ */
+std::vector<std::uint64_t>
+injectBurstAndCollectAcks(Harness &h, bool crash_mid_persist)
+{
+    NodeId drv = h.driverId();
+    for (std::uint64_t i = 1; i <= 3; ++i) {
+        Message inv;
+        inv.type = MsgType::Inv;
+        inv.src = drv;
+        inv.dst = 0;
+        inv.key = 9;
+        inv.version = Version{i, drv};
+        inv.opId = 100 + i;
+        inv.hasData = true;
+        h.fabric->send(inv);
+    }
+    if (crash_mid_persist) {
+        while (h.ctr.get("persists_issued") == 0 && h.eq.step()) {
+        }
+        h.nodes[0]->crashVolatile();
+    }
+    h.drain();
+    std::vector<std::uint64_t> acks;
+    for (const Message &m : h.driverInbox) {
+        if (m.type == MsgType::Ack)
+            acks.push_back(m.opId);
+    }
+    return acks;
+}
+
+} // namespace
+
+TEST(PersistObligations, FireFifoAcrossCoalescedFollowUpWrite)
+{
+    Harness h({Consistency::Linearizable, Persistency::Strict}, 3,
+              /*with_driver=*/true);
+    std::vector<std::uint64_t> acks = injectBurstAndCollectAcks(h, false);
+    // The first INV's persist was in flight when the other two arrived:
+    // they coalesced into one follow-up write, whose two obligations
+    // still fire in issue order.
+    EXPECT_EQ(h.ctr.get("persists_issued"), 2u);
+    EXPECT_EQ(h.ctr.get("persists_coalesced"), 2u);
+    EXPECT_EQ(acks, (std::vector<std::uint64_t>{101, 102, 103}));
+    EXPECT_EQ(h.nodes[0]->persistedVersion(9).number, 3u);
+    EXPECT_EQ(h.nodes[0]->persistsInFlight(), 0u);
+}
+
+TEST(PersistObligations, NoneFiresAfterACrashClearsThem)
+{
+    Harness h({Consistency::Linearizable, Persistency::Strict}, 3,
+              /*with_driver=*/true);
+    std::vector<std::uint64_t> acks = injectBurstAndCollectAcks(h, true);
+    EXPECT_TRUE(acks.empty());
+    EXPECT_EQ(h.nodes[0]->persistsInFlight(), 0u);
+    EXPECT_EQ(h.nodes[0]->persistedVersion(9).number, 0u);
+}
+
+TEST(PersistObligations, UncoalescedPersistsFireEveryObligation)
+{
+    Harness h({Consistency::Linearizable, Persistency::Strict}, 3,
+              /*with_driver=*/true, /*persist_coalescing=*/false);
+    std::vector<std::uint64_t> acks = injectBurstAndCollectAcks(h, false);
+    EXPECT_EQ(h.ctr.get("persists_issued"), 3u);
+    EXPECT_EQ(h.ctr.get("persists_coalesced"), 0u);
+    std::sort(acks.begin(), acks.end());
+    EXPECT_EQ(acks, (std::vector<std::uint64_t>{101, 102, 103}));
+    EXPECT_EQ(h.nodes[0]->persistedVersion(9).number, 3u);
 }
 
 TEST(Crash, EpochIncrements)

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -456,4 +457,151 @@ TEST(ConsumeIfNext, CancelledHeadTimerDoesNotBlock)
     });
     eq.run();
     EXPECT_TRUE(accepted);
+}
+
+// --------------------------------------------------------------------------
+// Reference-model property: the heap pops in std::set<(when, seq)> order.
+// --------------------------------------------------------------------------
+
+namespace {
+
+/**
+ * Drives an EventQueue with seeded random operations and mirrors every
+ * pending, uncancelled event in a std::set of (when, seq) keys. The
+ * queue's sequence counter is mirrored too: schedule(), scheduleTimer()
+ * and allocSeq() each take the next number.
+ */
+struct QueueModel
+{
+    using Key = std::pair<Tick, std::uint64_t>;
+    static constexpr int kOps = 100000;
+
+    EventQueue eq;
+    std::set<Key> pending;
+    std::vector<Key> reserved; ///< allocSeq()'d, not yet materialized
+    std::vector<std::pair<TimerId, Key>> timers;
+    std::uint64_t seq = 0;
+    std::uint64_t rng = 0x4a11;
+    int ops = 0;
+    bool inEvent = false;
+    std::uint64_t fired = 0;
+    std::uint64_t outOfOrder = 0;
+    std::uint64_t consumed = 0;
+    std::uint64_t consumeRefused = 0;
+
+    std::uint64_t
+    draw()
+    {
+        rng = splitmix64(rng);
+        return rng;
+    }
+
+    EventFn
+    firing(Key k)
+    {
+        return [this, k] { fire(k); };
+    }
+
+    void
+    fire(Key k)
+    {
+        // Whatever the heap pops must be the reference minimum.
+        if (pending.empty() || *pending.begin() != k)
+            ++outOfOrder;
+        pending.erase(k);
+        ++fired;
+        inEvent = true;
+        for (int n = 1 + static_cast<int>(draw() % 3); n > 0 && ops < kOps;
+             --n)
+            randomOp();
+        inEvent = false;
+    }
+
+    void
+    randomOp()
+    {
+        ++ops;
+        // Short horizons make many same-tick ties.
+        Tick when = eq.now() + draw() % 48;
+        switch (draw() % 6) {
+          case 0:
+          case 1: {
+            Key k{when, seq++};
+            pending.insert(k);
+            eq.schedule(when, firing(k));
+            break;
+          }
+          case 2: {
+            Key k{when, seq++};
+            pending.insert(k);
+            timers.emplace_back(eq.scheduleTimer(when, firing(k)), k);
+            break;
+          }
+          case 3: {
+            if (timers.empty())
+                break;
+            std::size_t i = draw() % timers.size();
+            auto [id, k] = timers[i];
+            timers[i] = timers.back();
+            timers.pop_back();
+            // False once the timer fired; its key already left the set.
+            if (eq.cancelTimer(id))
+                pending.erase(k);
+            break;
+          }
+          case 4: {
+            std::uint64_t s = eq.allocSeq();
+            EXPECT_EQ(s, seq);
+            ++seq;
+            reserved.emplace_back(when, s);
+            break;
+          }
+          case 5: {
+            if (reserved.empty())
+                break;
+            std::size_t i = draw() % reserved.size();
+            Key k = reserved[i];
+            reserved[i] = reserved.back();
+            reserved.pop_back();
+            if (k.first < eq.now())
+                break; // time moved past the reservation: abandon it
+            if (!inEvent || draw() % 2 == 0) {
+                pending.insert(k);
+                eq.schedulePinned(k.first, k.second, firing(k));
+                break;
+            }
+            bool next = pending.empty() || k < *pending.begin();
+            bool took = eq.consumeIfNext(k.first, k.second);
+            EXPECT_EQ(took, next);
+            if (took) {
+                ++consumed;
+                EXPECT_EQ(eq.now(), k.first);
+            } else {
+                ++consumeRefused;
+                reserved.push_back(k);
+            }
+            break;
+          }
+        }
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, RandomOperationsPopInReferenceSetOrder)
+{
+    QueueModel m;
+    while (m.ops < QueueModel::kOps) {
+        if (!m.eq.step())
+            m.randomOp();
+    }
+    m.eq.run();
+    EXPECT_EQ(m.ops, QueueModel::kOps);
+    EXPECT_EQ(m.outOfOrder, 0u);
+    EXPECT_TRUE(m.pending.empty());
+    EXPECT_EQ(m.eq.pendingEvents(), 0u);
+    // Every operation kind ran; consumeIfNext both took and refused.
+    EXPECT_GT(m.fired, 10000u);
+    EXPECT_GT(m.consumed, 0u);
+    EXPECT_GT(m.consumeRefused, 0u);
 }

@@ -158,6 +158,29 @@ TEST(CounterRegistry, DiffAgainstSnapshot)
     EXPECT_EQ(d["b"], 3u);
 }
 
+TEST(CounterRegistry, UntouchedHandleLeavesNoKey)
+{
+    // A handle creates its entry on first add(), so binding handles
+    // up front cannot change the counter set a run reports.
+    CounterRegistry c;
+    auto before = c.snapshot();
+    CounterRegistry::Counter idle = c.counter("idle_handle");
+    CounterRegistry::Counter busy = c.counter("busy_handle");
+    busy.add(3);
+    busy.add();
+    EXPECT_EQ(c.snapshot().count("idle_handle"), 0u);
+    EXPECT_EQ(c.get("busy_handle"), 4u);
+    auto d = c.diff(before);
+    EXPECT_EQ(d.count("idle_handle"), 0u);
+    EXPECT_EQ(d.at("busy_handle"), 4u);
+    // Name-based adds and the handle share one slot.
+    c.add("busy_handle", 2);
+    busy.add();
+    EXPECT_EQ(c.get("busy_handle"), 7u);
+    EXPECT_EQ(c.snapshot().size(), 1u);
+    (void)idle;
+}
+
 TEST(Table, AlignsColumns)
 {
     Table t({"name", "value"});
